@@ -174,15 +174,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "switch as the TYDI_PROFILE_STAGES environment variable",
     )
     perf.add_argument(
-        "--parse-jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="pre-parse the input files across N worker processes, warming "
-        "the per-file AST cache before compilation (uses an in-memory "
-        "cache when no --cache-dir is configured)",
-    )
-    perf.add_argument(
         "--emit-jobs",
         type=int,
         default=None,
@@ -293,11 +284,10 @@ def _build_cache(args: argparse.Namespace):
         max_disk_bytes = int(args.max_cache_mb * 1024 * 1024)
     remote = getattr(args, "remote_cache", None)
     if not args.cache_dir and not remote:
-        # --parse-jobs warms the per-file AST tier and --emit-jobs fans the
-        # backend-unit tier out, both of which need *some* stage cache; a
-        # memory-only one keeps the flags useful without forcing
-        # --cache-dir.
-        if getattr(args, "parse_jobs", None) or getattr(args, "emit_jobs", None):
+        # --emit-jobs fans the backend-unit tier out, which needs *some*
+        # stage cache; a memory-only one keeps the flag useful without
+        # forcing --cache-dir.
+        if getattr(args, "emit_jobs", None):
             from repro.pipeline import CompilationCache
 
             return CompilationCache()
@@ -323,22 +313,6 @@ def _apply_emit_jobs(workspace, args: argparse.Namespace) -> None:
     stage_cache = getattr(workspace.cache, "stages", None) if workspace.cache else None
     if stage_cache is not None:
         stage_cache.emit_jobs = jobs
-
-
-def _preload_parse(workspace, sources, args: argparse.Namespace) -> None:
-    """Warm the per-file AST cache across ``--parse-jobs`` worker processes.
-
-    A no-op without the flag, without a stage cache, or with nothing to
-    parse; the subsequent compile then serves its parse stage from the
-    warmed tier (:meth:`repro.pipeline.stages.StageCache.preload_units`).
-    """
-    jobs = getattr(args, "parse_jobs", None)
-    if not jobs or not sources:
-        return
-    stage_cache = getattr(workspace.cache, "stages", None) if workspace.cache else None
-    if stage_cache is None:
-        return
-    stage_cache.preload_units(sources, jobs=jobs)
 
 
 def _load_sim_plan(args: argparse.Namespace):
@@ -398,7 +372,6 @@ def _run_batch(args: argparse.Namespace) -> int:
     unreadable: dict[int, JobResult] = {}
     taken: set[str] = set()
     design_paths: dict[str, pathlib.Path] = {}
-    readable_sources: list[tuple[str, str]] = []
     for position, path_text in enumerate(args.sources):
         path = pathlib.Path(path_text)
         name = _design_name(path_text, taken)
@@ -415,7 +388,6 @@ def _run_batch(args: argparse.Namespace) -> int:
                 error_type=type(exc.__cause__).__name__ if exc.__cause__ else "OSError",
             )
             continue
-        readable_sources.append((text, str(path)))
         if args.from_ir:
             workspace.add_ir_design(
                 name,
@@ -429,9 +401,6 @@ def _run_batch(args: argparse.Namespace) -> int:
                 ((text, str(path)),),
                 _design_options(args, name, targets, backend_opts),
             )
-
-    if not args.from_ir:
-        _preload_parse(workspace, readable_sources, args)
 
     outcome = workspace.compile_all(executor=args.executor, jobs=args.jobs).batch
 
@@ -728,8 +697,6 @@ def main(argv: list[str] | None = None) -> int:
             build_arg_parser().error("at least one source file is required")
         if args.watch and args.json_output:
             raise _CliInputError("--watch cannot be combined with --json")
-        if args.parse_jobs is not None and args.parse_jobs < 1:
-            raise _CliInputError("--parse-jobs must be >= 1")
         if args.emit_jobs is not None and args.emit_jobs < 1:
             raise _CliInputError("--emit-jobs must be >= 1")
         if args.from_ir and not args.batch and len(args.sources) != 1:
@@ -767,10 +734,6 @@ def _run_single(args: argparse.Namespace) -> int:
 
     workspace = Workspace(cache=_build_cache(args))
     _apply_emit_jobs(workspace, args)
-    if not args.from_ir:
-        # Pre-parsing is a Tydi-lang frontend warm-up; interchange
-        # documents never touch the parse tier.
-        _preload_parse(workspace, sources, args)
 
     # When target outputs stream to stdout (no --out-dir), the stage log
     # moves to stderr so e.g. `tydi-compile --target dot x.td | dot -Tsvg`

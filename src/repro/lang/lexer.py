@@ -69,14 +69,6 @@ _ONE_CHAR_OPERATORS: dict[str, TokenKind] = {
     "!": TokenKind.NOT,
 }
 
-#: The legacy operator list (longest first), kept public because external
-#: tooling and tests introspect it; the tokenizer itself uses the dispatch
-#: tables above, which are derived-compatible by construction.
-_OPERATORS: list[tuple[str, TokenKind]] = [
-    *_TWO_CHAR_OPERATORS.items(),
-    *_ONE_CHAR_OPERATORS.items(),
-]
-
 # ASCII character classes as frozensets: membership is a hash probe instead
 # of a method call per character.  Non-ASCII characters fall back to the
 # exact Unicode predicates the original scanner used.

@@ -19,12 +19,10 @@ pure function of its source texts and options.  This package exploits that:
 * :mod:`repro.pipeline.batch` -- :func:`~repro.pipeline.batch.run_jobs`,
   the concurrent job engine (serial / thread / process executors with
   per-design error isolation) that :meth:`repro.workspace.Workspace.
-  compile_all` drives, plus the deprecated :class:`~repro.pipeline.batch.
-  BatchCompiler` facade.
-* :mod:`repro.pipeline.incremental` -- the deprecated
-  :class:`~repro.pipeline.incremental.IncrementalCompiler` facade; new
-  code holds a :class:`repro.workspace.Workspace` and mutates it at file
-  granularity instead.
+  compile_all` drives.
+
+Incremental recompilation lives one level up: hold a
+:class:`repro.workspace.Workspace` and mutate it at file granularity.
 
 See ``docs/pipeline.md`` for the architecture and cache layout, and
 ``docs/workspace.md`` for the session API on top.
@@ -32,7 +30,6 @@ See ``docs/pipeline.md`` for the architecture and cache layout, and
 
 from repro.pipeline.batch import (
     BatchCompilationError,
-    BatchCompiler,
     BatchResult,
     CompileJob,
     JobResult,
@@ -46,21 +43,17 @@ from repro.pipeline.cache import (
     fingerprint_sources,
     normalize_sources,
 )
-from repro.pipeline.incremental import IncrementalCompiler, IncrementalReport
 from repro.pipeline.remote import DEFAULT_CACHE_PORT, RemoteCacheClient, parse_endpoint
 from repro.pipeline.stages import StageCache, StageStats, file_fingerprint
 
 __all__ = [
     "BatchCompilationError",
-    "BatchCompiler",
     "BatchResult",
     "CacheStats",
     "CompilationCache",
     "CompileJob",
     "DEFAULT_CACHE_DIR",
     "DEFAULT_CACHE_PORT",
-    "IncrementalCompiler",
-    "IncrementalReport",
     "JobResult",
     "RemoteCacheClient",
     "STAGE_SCHEMA_VERSION",

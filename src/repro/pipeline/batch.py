@@ -1,4 +1,4 @@
-"""The concurrent compile-job engine (and its deprecated driver facade).
+"""The concurrent compile-job engine.
 
 A :class:`CompileJob` is a pure-data description of one frontend run (sources
 plus a :class:`~repro.lang.compile.CompileOptions`), which makes it hashable
@@ -8,9 +8,7 @@ executor with per-job error isolation: one design failing its parse or DRC
 records a :class:`JobResult` error entry instead of aborting the batch.
 
 The engine is driven by :meth:`repro.workspace.Workspace.compile_all` --
-the session API that owns design state.  :class:`BatchCompiler`, the PR-1
-driver object, survives as a thin deprecation-warned adapter that runs its
-jobs through a throwaway workspace.
+the session API that owns design state.
 
 Determinism: the frontend is pure, so batch output is byte-identical to
 compiling the same jobs serially (asserted by
@@ -34,7 +32,6 @@ from __future__ import annotations
 import os
 import time
 import traceback
-import warnings
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Optional, Sequence
@@ -288,49 +285,6 @@ def _worker_count(executor: str, max_workers: Optional[int], num_jobs: int) -> i
     return max(1, min(workers, num_jobs))
 
 
-def _parse_one(item: tuple[str, str]):
-    """Process-pool entry point: parse one ``(text, filename)`` pair."""
-    from repro.lang.parser import parse_source
-
-    text, filename = item
-    return parse_source(text, filename)
-
-
-def parallel_parse_stage(
-    normalized: Sequence[tuple[str, str]],
-    *,
-    include_stdlib: bool = True,
-    jobs: Optional[int] = None,
-):
-    """Stage 1 (:func:`repro.lang.compile.parse_stage`) across a process pool.
-
-    Parsing is per-file independent and pure, so the files of one design can
-    be lexed/parsed concurrently.  The parsed units are fed back through the
-    real ``parse_stage`` (as its ``parse_file`` hook), so stdlib handling,
-    unit ordering and the stage-log entry are byte-identical to a serial
-    parse -- ``tests/test_pipeline_batch.py`` asserts equality.
-
-    ``jobs`` defaults to the CPU count; with one worker or one file the
-    serial path runs directly (a process pool costs more than it saves on
-    small inputs).
-    """
-    from repro.lang.compile import parse_stage
-
-    normalized = tuple(normalized)
-    if jobs is None:
-        jobs = os.cpu_count() or 2
-    jobs = max(1, min(jobs, len(normalized)))
-    if jobs <= 1 or len(normalized) <= 1:
-        return parse_stage(normalized, include_stdlib=include_stdlib)
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        parsed = iter(list(pool.map(_parse_one, normalized)))
-    return parse_stage(
-        normalized,
-        include_stdlib=include_stdlib,
-        parse_file=lambda text, filename: next(parsed),
-    )
-
-
 def run_jobs(
     jobs: Sequence[CompileJob],
     *,
@@ -340,8 +294,7 @@ def run_jobs(
 ) -> BatchResult:
     """Compile every job through one executor; failures are recorded per job.
 
-    The shared engine under :meth:`repro.workspace.Workspace.compile_all`
-    (and the deprecated :class:`BatchCompiler` facade).
+    The shared engine under :meth:`repro.workspace.Workspace.compile_all`.
 
     Parameters
     ----------
@@ -433,50 +386,3 @@ def run_jobs(
         executor=executor_name,
         workers=workers,
     )
-
-
-@dataclass
-class BatchCompiler:
-    """Deprecated driver facade: compile many independent designs.
-
-    .. deprecated::
-        Hold a :class:`repro.workspace.Workspace` instead -- add each design
-        with :meth:`~repro.workspace.Workspace.add_design` (or
-        :meth:`~repro.workspace.Workspace.add_job`) and call
-        :meth:`~repro.workspace.Workspace.compile_all`.  ``compile_batch``
-        now does exactly that through a throwaway workspace, so results stay
-        byte-identical; only the entry point is deprecated.
-
-    Parameters: see :func:`run_jobs` (``cache`` / ``executor`` /
-    ``max_workers`` pass straight through).
-    """
-
-    cache: Optional[CompilationCache] = None
-    executor: str = "thread"
-    max_workers: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.executor not in EXECUTORS:
-            raise ValueError(f"executor must be one of {EXECUTORS}, got {self.executor!r}")
-        warnings.warn(
-            "BatchCompiler is deprecated; use repro.workspace.Workspace "
-            "(ws.add_design(...) / ws.add_job(...), then ws.compile_all(...))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-
-    def compile_batch(self, jobs: Sequence[CompileJob]) -> BatchResult:
-        """Compile every job; failures are recorded per job, never raised."""
-        from repro.workspace import Workspace
-
-        jobs = list(jobs)
-        names = [job.name for job in jobs]
-        if len(set(names)) != len(names):
-            dupes = sorted({n for n in names if names.count(n) > 1})
-            raise ValueError(f"duplicate job name(s) in batch: {', '.join(dupes)}")
-        workspace = Workspace(cache=self.cache)
-        for job in jobs:
-            workspace.add_job(job)
-        report = workspace.compile_all(executor=self.executor, jobs=self.max_workers)
-        assert report.batch is not None
-        return report.batch

@@ -388,56 +388,6 @@ class StageCache:
         self._disk_store(self._ast_path(key), unit, namespace="ast", key=key)
         return unit
 
-    def preload_units(
-        self,
-        sources,
-        *,
-        jobs: Optional[int] = None,
-    ) -> int:
-        """Warm the per-file parse tier by parsing cold files in parallel.
-
-        ``sources`` is anything :func:`repro.lang.compile.normalize_sources`
-        accepts.  Files whose fingerprint already sits in any tier are left
-        alone; the rest are parsed across a process pool
-        (:func:`repro.pipeline.batch.parallel_parse_stage`'s worker) and
-        inserted exactly as a :meth:`cached_parse` miss would have -- so a
-        subsequent compile's parse stage is all hits regardless of who
-        parsed.  Returns the number of freshly parsed files.
-        """
-        from concurrent.futures import ProcessPoolExecutor
-
-        from repro.lang.compile import normalize_sources
-        from repro.pipeline.batch import _parse_one
-
-        normalized = normalize_sources(sources)
-        cold: list[tuple[str, str]] = []
-        keys: list[str] = []
-        for text, filename in normalized:
-            key = file_fingerprint(text, filename)
-            with self._lock:
-                if key in self._parse:
-                    continue
-            if self._disk_read(self._ast_path(key)) is not None:
-                continue
-            cold.append((text, filename))
-            keys.append(key)
-        if not cold:
-            return 0
-        if jobs is None:
-            jobs = os.cpu_count() or 2
-        jobs = max(1, min(jobs, len(cold)))
-        if jobs <= 1 or len(cold) <= 1:
-            units = [_parse_one(item) for item in cold]
-        else:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                units = list(pool.map(_parse_one, cold))
-        for key, unit in zip(keys, units):
-            with self._lock:
-                self.stats.parse_misses += 1
-                self._insert(self._parse, key, unit, self.max_parse_entries)
-            self._disk_store(self._ast_path(key), unit, namespace="ast", key=key)
-        return len(units)
-
     def cached_backend_unit(self, project, implementation, backend) -> dict[str, str]:
         """One implementation's backend output, through the unit cache.
 

@@ -9,10 +9,11 @@ ok/error counts.  Everything is thread-safe and snapshots to plain JSON
 for the ``stats`` endpoint -- no third-party metrics client, the same
 stdlib-only discipline as the rest of :mod:`repro.server`.
 
-Percentiles reported by :meth:`LatencyHistogram.as_dict` are upper-bound
-estimates read off the bucket boundaries (the standard histogram-quantile
-trade: bounded memory, ~2x resolution).  Exact ``min``/``max``/``mean``
-are tracked alongside, so the estimate error is always visible.
+Percentiles reported by :meth:`LatencyHistogram.as_dict` interpolate
+linearly inside the bucket that holds the quantile (the standard
+histogram-quantile trade: bounded memory, ~2x bucket width), with the
+bucket narrowed to the exact observed ``min``/``max`` -- so an estimate
+never leaves the observed range and a single sample reports itself.
 """
 
 from __future__ import annotations
@@ -56,19 +57,28 @@ class LatencyHistogram:
                 self.max_s = seconds
 
     def _percentile_locked(self, fraction: float) -> Optional[float]:
-        """Upper-bound estimate of one quantile, in milliseconds."""
+        """Estimate of one quantile, in milliseconds.
+
+        Linear interpolation inside the quantile's bucket, whose edges are
+        first clamped to the observed ``[min, max]`` (the overflow bucket's
+        upper edge *is* the max).
+        """
         if self.count == 0:
             return None
+        min_ms = (self.min_s or 0.0) * 1000.0
+        max_ms = (self.max_s or 0.0) * 1000.0
         target = fraction * self.count
         running = 0
         for index, bucket_count in enumerate(self._counts):
-            running += bucket_count
-            if running >= target:
-                if index < len(BUCKET_BOUNDS_MS):
-                    return BUCKET_BOUNDS_MS[index]
-                # Overflow bucket: the exact max is the best bound we have.
-                return round((self.max_s or 0.0) * 1000.0, 3)
-        return BUCKET_BOUNDS_MS[-1]
+            if not bucket_count or running + bucket_count < target:
+                running += bucket_count
+                continue
+            lower = BUCKET_BOUNDS_MS[index - 1] if index else 0.0
+            upper = BUCKET_BOUNDS_MS[index] if index < len(BUCKET_BOUNDS_MS) else max_ms
+            lower, upper = max(lower, min_ms), min(upper, max_ms)
+            position = (target - running) / bucket_count
+            return round(lower + (upper - lower) * position, 3)
+        return round(max_ms, 3)
 
     def as_dict(self) -> dict[str, Any]:
         with self._lock:

@@ -425,7 +425,6 @@ class WorkerPool:
         max_cache_mb: Optional[float] = None,
         remote_cache: Optional[str] = None,
         options: Optional[Mapping[str, object]] = None,
-        parse_jobs: Optional[int] = None,
         backlog: int = 64,
         restart_budget: int = 3,
         drain_join_timeout: float = 30.0,
@@ -448,7 +447,6 @@ class WorkerPool:
             "max_cache_mb": max_cache_mb,
             "remote_cache": remote_cache,
             "options": dict(options) if options is not None else None,
-            "parse_jobs": parse_jobs,
         }
         self._lock = threading.Lock()
         self._next_job_id = 0

@@ -233,7 +233,9 @@ class TydiServer:
             self._conn_tasks.add(task)
         self._connections.add(writer)
         try:
-            first = await reader.readline()
+            # Raced against closing like every later read: a client that
+            # connects and never sends must not stall shutdown.
+            first = await self._read_or_closing(reader)
             if not first:
                 return
             if _looks_like_http(first):

@@ -26,11 +26,8 @@ and emission are queries over):
   one-file edit recompiles through the warm stage cache (re-parsing only
   that file),
 * :meth:`~Workspace.compile_all` brings every design up to date through
-  the concurrent job engine (serial / thread / process executors with
-  per-design error isolation), subsuming the PR-1 driver objects --
-  :class:`~repro.pipeline.batch.BatchCompiler` and
-  :class:`~repro.pipeline.incremental.IncrementalCompiler` are now thin,
-  deprecation-warned adapters over a workspace.
+  the concurrent job engine (:func:`~repro.pipeline.batch.run_jobs`:
+  serial / thread / process executors with per-design error isolation).
 
 Thread-safety contract: every query takes a per-design lock, so concurrent
 queries (including against the same design) are safe; mutation methods take
@@ -65,16 +62,10 @@ _AUTO_CACHE = object()
 
 @dataclass
 class BuildReport:
-    """What one :meth:`Workspace.compile_all` round did.
-
-    Also the shape of :class:`repro.pipeline.incremental.IncrementalReport`
-    (which is an alias of this class), so incremental-driver callers keep
-    their field names.
-    """
+    """What one :meth:`Workspace.compile_all` round did."""
 
     compiled: list[str] = field(default_factory=list)
     reused: list[str] = field(default_factory=list)
-    removed: list[str] = field(default_factory=list)
     failed: dict[str, str] = field(default_factory=dict)
     results: dict[str, "CompilationResult"] = field(default_factory=dict)
     #: Per recompiled design: the filenames whose content fingerprints
@@ -95,7 +86,7 @@ class BuildReport:
     def summary(self) -> str:
         return (
             f"{len(self.compiled)} recompiled, {len(self.reused)} reused, "
-            f"{len(self.removed)} removed, {len(self.failed)} failed"
+            f"{len(self.failed)} failed"
         )
 
     def file_summary(self) -> str:
@@ -564,8 +555,7 @@ class Workspace:
     def cached_result(self, name: str) -> Optional["CompilationResult"]:
         """The memoised result if it is fresh and successful, else ``None``.
 
-        Never compiles -- the non-raising peek behind
-        ``IncrementalCompiler.result_for`` and status reporting.
+        Never compiles -- a non-raising peek for status reporting.
         """
         with self._lock:
             entry = self._designs.get(name)

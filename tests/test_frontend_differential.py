@@ -237,7 +237,10 @@ class TestTokenStreams:
     def test_operator_tables_cover_reference(self):
         from repro.lang import lexer
 
-        assert dict(lexer._OPERATORS) == dict(_REFERENCE_OPERATORS)
+        assert {
+            **lexer._TWO_CHAR_OPERATORS,
+            **lexer._ONE_CHAR_OPERATORS,
+        } == dict(_REFERENCE_OPERATORS)
 
 
 # ---------------------------------------------------------------------------

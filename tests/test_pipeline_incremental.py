@@ -1,15 +1,15 @@
 """Tests for incremental recompilation (fingerprint diffing).
 
-``IncrementalCompiler`` is the deprecated facade over a persistent
-``repro.workspace.Workspace``; this suite keeps exercising it on purpose,
-so its deprecation warning is filtered here (see the CI
-``-W error::DeprecationWarning`` job)."""
+A persistent :class:`repro.workspace.Workspace` recompiles only the designs
+whose fingerprint changed since the last :meth:`~repro.workspace.Workspace.
+compile_all`, and reports which of their files changed.
+"""
 
 import pytest
 
-from repro.pipeline import CompilationCache, CompileJob, IncrementalCompiler
-
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
+from repro.errors import TydiWorkspaceError
+from repro.pipeline import CompilationCache, CompileJob
+from repro.workspace import Workspace
 
 
 def job(name: str, width: int, **options) -> CompileJob:
@@ -28,86 +28,95 @@ BROKEN = CompileJob(
 )
 
 
+def build(ws: Workspace, *jobs: CompileJob):
+    """Add (or replace) each job's design, then bring the session up to date."""
+    for one in jobs:
+        ws.add_job(one, replace=True)
+    return ws.compile_all()
+
+
+def outputs_for(ws: Workspace, name: str, target: str):
+    result = ws.cached_result(name)
+    return None if result is None else result.outputs.get(target)
+
+
 class TestIncrementalCompiler:
     def test_first_round_compiles_everything(self):
-        inc = IncrementalCompiler()
-        report = inc.update([job("a", 8), job("b", 16)])
+        report = build(Workspace(), job("a", 8), job("b", 16))
         assert sorted(report.compiled) == ["a", "b"]
-        assert report.reused == [] and report.removed == []
+        assert report.reused == []
         assert report.ok
         assert set(report.results) == {"a", "b"}
 
     def test_unchanged_jobs_are_reused_not_recompiled(self):
-        inc = IncrementalCompiler()
-        first = inc.update([job("a", 8), job("b", 16)])
-        second = inc.update([job("a", 8), job("b", 16)])
+        ws = Workspace()
+        first = build(ws, job("a", 8), job("b", 16))
+        second = build(ws, job("a", 8), job("b", 16))
         assert second.compiled == [] and sorted(second.reused) == ["a", "b"]
         # Reuse hands back the very same result objects.
         assert second.results["a"] is first.results["a"]
 
     def test_only_changed_job_recompiles(self):
-        inc = IncrementalCompiler()
-        inc.update([job("a", 8), job("b", 16)])
-        report = inc.update([job("a", 8), job("b", 32)])  # b's source changed
+        ws = Workspace()
+        build(ws, job("a", 8), job("b", 16))
+        report = build(ws, job("a", 8), job("b", 32))  # b's source changed
         assert report.compiled == ["b"]
         assert report.reused == ["a"]
 
     def test_option_change_marks_dirty(self):
-        inc = IncrementalCompiler()
-        inc.update([job("a", 8)])
-        report = inc.update([job("a", 8, sugaring=False)])
+        ws = Workspace()
+        build(ws, job("a", 8))
+        report = build(ws, job("a", 8, sugaring=False))
         assert report.compiled == ["a"]
 
     def test_removed_designs_are_dropped(self):
-        inc = IncrementalCompiler()
-        inc.update([job("a", 8), job("b", 16)])
-        report = inc.update([job("a", 8)])
-        assert report.removed == ["b"]
-        assert inc.result_for("b") is None
-        assert inc.known_designs == ["a"]
+        ws = Workspace()
+        build(ws, job("a", 8), job("b", 16))
+        ws.remove_design("b")
+        report = ws.compile_all()
+        assert set(report.results) == {"a"}
+        assert ws.cached_result("b") is None
+        assert ws.design_names == ["a"]
 
     def test_failed_design_is_retried_next_round(self):
-        inc = IncrementalCompiler()
-        report = inc.update([job("a", 8), BROKEN])
+        ws = Workspace()
+        report = build(ws, job("a", 8), BROKEN)
         assert not report.ok
         assert "broken" in report.failed and "Mystery" in report.failed["broken"]
         # Same job set again: the good design is reused, the bad one retried.
-        again = inc.update([job("a", 8), BROKEN])
+        again = build(ws, job("a", 8), BROKEN)
         assert again.reused == ["a"]
         assert "broken" in again.failed
 
     def test_failed_recompile_drops_stale_result(self):
         """A design that compiled once but now fails must not keep serving
-        the outdated artefact through result_for()."""
-        inc = IncrementalCompiler()
-        inc.update([job("design", 8)])
-        assert inc.result_for("design") is not None
+        the outdated artefact through cached_result()."""
+        ws = Workspace()
+        build(ws, job("design", 8))
+        assert ws.cached_result("design") is not None
         broken_edit = CompileJob(name="design", sources=BROKEN.sources)
-        report = inc.update([broken_edit])
+        report = build(ws, broken_edit)
         assert "design" in report.failed
-        assert inc.result_for("design") is None
+        assert ws.cached_result("design") is None
         assert "design" not in report.results
 
     def test_fixing_a_failed_design(self):
-        inc = IncrementalCompiler()
-        inc.update([BROKEN])
-        fixed = inc.update([job("broken", 8)])
+        ws = Workspace()
+        build(ws, BROKEN)
+        fixed = build(ws, job("broken", 8))
         assert fixed.compiled == ["broken"] and fixed.ok
 
     def test_shares_cache_with_other_drivers(self):
         cache = CompilationCache()
-        jobs = [job("a", 8)]
-        IncrementalCompiler(cache=cache).update(jobs)
-        # A second, state-less incremental compiler still hits the cache.
-        other = IncrementalCompiler(cache=cache)
-        report = other.update(jobs)
+        build(Workspace(cache=cache), job("a", 8))
+        # A second, fresh workspace still hits the shared cache.
+        report = build(Workspace(cache=cache), job("a", 8))
         assert report.compiled == ["a"]
         assert cache.stats.hits == 1
 
     def test_summary_line(self):
-        inc = IncrementalCompiler()
-        report = inc.update([job("a", 8)])
-        assert report.summary() == "1 recompiled, 0 reused, 0 removed, 0 failed"
+        report = build(Workspace(), job("a", 8))
+        assert report.summary() == "1 recompiled, 0 reused, 0 failed"
 
 
 def multi_file_job(name: str, step_width: int = 8, top_note: str = "") -> CompileJob:
@@ -120,32 +129,31 @@ def multi_file_job(name: str, step_width: int = 8, top_note: str = "") -> Compil
 
 class TestFileGranularity:
     def test_new_design_lists_every_file_as_changed(self):
-        inc = IncrementalCompiler()
-        report = inc.update([multi_file_job("a")])
+        report = build(Workspace(), multi_file_job("a"))
         assert sorted(report.changed_files["a"]) == ["streamlet.td", "top.td", "types.td"]
         assert report.unchanged_files["a"] == []
 
     def test_one_file_edit_is_diffed_at_file_level(self):
-        inc = IncrementalCompiler()
-        inc.update([multi_file_job("a")])
-        report = inc.update([multi_file_job("a", top_note="// edited")])
+        ws = Workspace()
+        build(ws, multi_file_job("a"))
+        report = build(ws, multi_file_job("a", top_note="// edited"))
         assert report.compiled == ["a"]
         assert report.changed_files["a"] == ["top.td"]
         assert sorted(report.unchanged_files["a"]) == ["streamlet.td", "types.td"]
         assert report.file_summary() == "1 file(s) re-parsed, 2 file(s) reused"
 
     def test_reused_designs_have_no_file_churn(self):
-        inc = IncrementalCompiler()
-        inc.update([multi_file_job("a")])
-        report = inc.update([multi_file_job("a")])
+        ws = Workspace()
+        build(ws, multi_file_job("a"))
+        report = build(ws, multi_file_job("a"))
         assert report.reused == ["a"]
         assert report.changed_files == {} and report.unchanged_files == {}
 
     def test_option_only_change_shows_zero_changed_files(self):
-        inc = IncrementalCompiler()
-        inc.update([multi_file_job("a")])
+        ws = Workspace()
+        build(ws, multi_file_job("a"))
         changed_options = multi_file_job("a").with_options(run_drc=False)
-        report = inc.update([changed_options])
+        report = build(ws, changed_options)
         assert report.compiled == ["a"]
         assert report.changed_files["a"] == []
         assert len(report.unchanged_files["a"]) == 3
@@ -153,56 +161,53 @@ class TestFileGranularity:
     def test_stage_cache_reuses_unchanged_files_across_update(self):
         """The recompile after a one-file edit re-parses only that file."""
         cache = CompilationCache()
-        inc = IncrementalCompiler(cache=cache)
-        inc.update([multi_file_job("a")])
+        ws = Workspace(cache=cache)
+        build(ws, multi_file_job("a"))
         assert cache.stages.stats.parse_misses == 3
-        inc.update([multi_file_job("a", top_note="// edited")])
+        build(ws, multi_file_job("a", top_note="// edited"))
         assert cache.stages.stats.parse_misses == 4  # only top.td re-parsed
         assert cache.stages.stats.parse_hits == 2
 
     def test_failed_design_drops_file_memory(self):
-        inc = IncrementalCompiler()
-        inc.update([multi_file_job("a")])
+        ws = Workspace()
+        build(ws, multi_file_job("a"))
         broken = CompileJob(
             name="a", sources=(("streamlet broken {", "types.td"),), include_stdlib=False
         )
-        failed = inc.update([broken])
+        failed = build(ws, broken)
         assert "a" in failed.failed
         # After the failure the design is fully forgotten: the next good
         # round treats every file as new.
-        report = inc.update([multi_file_job("a")])
+        report = build(ws, multi_file_job("a"))
         assert sorted(report.changed_files["a"]) == ["streamlet.td", "top.td", "types.td"]
 
 
 class TestBackendTargets:
     def test_new_target_dirties_and_outputs_for(self):
-        compiler = IncrementalCompiler(cache=CompilationCache())
-        first = compiler.update([job("a", 8)])
+        ws = Workspace(cache=CompilationCache())
+        first = build(ws, job("a", 8))
         assert first.compiled == ["a"]
-        assert compiler.outputs_for("a", "vhdl") is None
+        assert outputs_for(ws, "a", "vhdl") is None
 
         # Requesting a backend changes the job fingerprint: the design is
         # dirty even though no source file changed.
-        second = compiler.update([job("a", 8, targets=("vhdl",))])
+        second = build(ws, job("a", 8, targets=("vhdl",)))
         assert second.compiled == ["a"]
         assert second.changed_files == {"a": []}
-        vhdl = compiler.outputs_for("a", "vhdl")
+        vhdl = outputs_for(ws, "a", "vhdl")
         assert vhdl and all(name.endswith(".vhd") for name in vhdl)
-        assert compiler.outputs_for("a", "dot") is None
-        assert compiler.outputs_for("missing", "vhdl") is None
+        assert outputs_for(ws, "a", "dot") is None
+        assert outputs_for(ws, "missing", "vhdl") is None
 
         # Unchanged job (same targets) is reused, outputs still served.
-        third = compiler.update([job("a", 8, targets=("vhdl",))])
+        third = build(ws, job("a", 8, targets=("vhdl",)))
         assert third.reused == ["a"]
-        assert compiler.outputs_for("a", "vhdl") == vhdl
+        assert outputs_for(ws, "a", "vhdl") == vhdl
 
 
 def test_duplicate_job_names_rejected():
-    """Same contract as the batch driver: a name collision is an error,
-    never a silent last-job-wins replace."""
-    inc = IncrementalCompiler()
-    twin = [job("a", 8), job("a", 16)]
-    import pytest as _pytest
-
-    with _pytest.raises(ValueError, match="duplicate"):
-        inc.update(twin)
+    """A name collision is an error, never a silent last-job-wins replace."""
+    ws = Workspace()
+    ws.add_job(job("a", 8))
+    with pytest.raises(TydiWorkspaceError, match="already exists"):
+        ws.add_job(job("a", 16))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import socket
+import time
 
 import pytest
 
@@ -359,7 +360,9 @@ class TestTransport:
         try:
             with CompileClient(*server.address) as client:
                 client.shutdown()
+            started = time.perf_counter()
             server.stop(timeout=15)  # raises if the idle connection wedges it
+            assert time.perf_counter() - started < 1.0
         finally:
             idle.close()
 

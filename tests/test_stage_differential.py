@@ -98,7 +98,7 @@ def test_staged_equals_monolithic_across_edits(seed):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_staged_equals_monolithic_through_compilation_cache(seed, tmp_path):
-    """End-to-end: the CompilationCache front door (what BatchCompiler uses)."""
+    """End-to-end: the CompilationCache front door (what run_jobs uses)."""
     rng = random.Random(1000 + seed)
     sources = build_random_design(rng)
 

@@ -3,8 +3,8 @@
 The session *differential* (a random mutation history ends byte-identical
 to a fresh one-shot compile) lives in ``tests/test_workspace_properties.py``;
 these tests pin down the session mechanics: the design store, query
-memoisation and invalidation, the cache stack wiring, ``compile_all``,
-thread safety, and the deprecated driver facades.
+memoisation and invalidation, the cache stack wiring, ``compile_all``
+and thread safety.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import pytest
 
 from repro.errors import TydiDRCError, TydiWorkspaceError
 from repro.lang.compile import CompileOptions, compile_sources
-from repro.pipeline import BatchCompiler, CompilationCache, IncrementalCompiler, run_jobs
+from repro.pipeline import CompilationCache, run_jobs
 from repro.pipeline.batch import CompileJob
 from repro.testing import build_chain_design
 from repro.workspace import Workspace
@@ -397,28 +397,7 @@ class TestThreadSafety:
 
 
 class TestDeprecatedDrivers:
-    def test_batch_compiler_warns_and_matches_engine(self):
-        jobs = [
-            CompileJob(name=f"w{width}", sources=((SOURCE.replace("Bit(8)", f"Bit({width})"), "d.td"),))
-            for width in (2, 4)
-        ]
-        with pytest.warns(DeprecationWarning, match="BatchCompiler"):
-            compiler = BatchCompiler(executor="serial")
-        via_shim = compiler.compile_batch(jobs)
-        direct = run_jobs(jobs, executor="serial")
-        assert [entry.name for entry in via_shim] == [entry.name for entry in direct]
-        for a, b in zip(via_shim.results, direct.results):
-            assert a.result.ir_text() == b.result.ir_text()
-            assert [str(s) for s in a.result.stages] == [str(s) for s in b.result.stages]
-
-    def test_incremental_compiler_warns(self):
-        with pytest.warns(DeprecationWarning, match="IncrementalCompiler"):
-            inc = IncrementalCompiler()
-        report = inc.update(
-            [CompileJob(name="echo", sources=((SOURCE, "a.td"),))]
-        )
-        assert report.compiled == ["echo"]
-        assert inc.result_for("echo") is report.results["echo"]
+    """The job engine's entry point raises no deprecation warnings."""
 
     def test_run_jobs_is_not_deprecated(self, recwarn):
         import warnings as warnings_module
