@@ -6,7 +6,7 @@ without touching this repository by declaring an entry point in the
 ``repro.backends`` group::
 
     [project.entry-points."repro.backends"]
-    verilog = "my_pkg.verilog:VerilogBackend"
+    systemc = "my_pkg.systemc:SystemCBackend"
 
 Entry points are resolved lazily on the first lookup that misses the
 in-process table, so an installed plugin shows up in

@@ -29,6 +29,7 @@ never aliased with a result some other compilation already holds.
 from __future__ import annotations
 
 import hashlib
+import importlib
 import os
 import pickle
 import tempfile
@@ -177,11 +178,6 @@ def atomic_write_bytes(path: Path, data: bytes) -> None:
         raise
 
 
-def atomic_pickle_dump(path: Path, obj: object) -> None:
-    """Pickle ``obj`` to ``path`` atomically (see :func:`atomic_write_bytes`)."""
-    atomic_write_bytes(path, pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
-
-
 #: A ``*.tmp`` file older than this is a leak from a crashed writer
 #: (``atomic_write_bytes`` holds its temp file for milliseconds, not
 #: minutes) and is reclaimed during budget enforcement.
@@ -243,6 +239,229 @@ def evict_lru_files(
     return evicted
 
 
+class CacheTier:
+    """One cache namespace: a bounded memory LRU over disk and remote copies.
+
+    Every cache in this package -- the whole-result ``result`` tier of
+    :class:`CompilationCache` and the ``ast`` / ``eval`` / ``iringest`` /
+    ``backend`` / ``sim`` tiers of :class:`repro.pipeline.stages.StageCache`
+    -- is one instance of this class, owned by the cache whose ``_lock``,
+    ``stats`` and ``remote`` it uses:
+
+    * **Lookup** (:meth:`get`) walks memory -> ``<disk_dir>/<file_prefix>
+      <key>.pkl`` -> the remote under ``<namespace>:<key>``.  A remote hit is
+      promoted to the disk tier (the bytes already are the disk format)
+      without being re-uploaded.
+    * **Store** (:meth:`put`) pickles the value once; the same bytes feed the
+      disk file and the remote's write-behind queue.  Disk-budget
+      enforcement is the owner's call.
+    * **Corruption** -- any exception from unpickling, or a value of the
+      wrong type, makes that copy a miss: a local copy is dropped (counted in
+      ``disk_errors``), a remote one is reported to the client's ``corrupt``
+      counter, and the lookup falls through to the next tier.
+    * **Memory representation** -- by default the memory tier holds the
+      value itself, served as-is (treat it as immutable).  A
+      ``fresh_copies`` tier holds the pickle bytes instead and unpickles on
+      every use, for values the caller goes on to mutate.
+
+    ``expected_type`` is a ``"module:Name"`` path, resolved only when a
+    payload is decoded, so constructing a tier imports nothing.  ``hits`` /
+    ``misses`` / ``stores`` / ``evictions`` name the owner's ``stats``
+    fields counting lookups served, lookups missed, fresh stores and memory
+    evictions (``None``: not counted).  The stage tiers count their misses
+    as stores, so a computation that raises counts nothing.
+    """
+
+    def __init__(
+        self,
+        owner,
+        namespace: str,
+        expected_type: str,
+        *,
+        capacity: int,
+        disk_dir: Optional[Path] = None,
+        file_prefix: str = "",
+        fresh_copies: bool = False,
+        hits: str = "hits",
+        stores: str = "stores",
+        misses: Optional[str] = None,
+        evictions: Optional[str] = None,
+    ) -> None:
+        if capacity < 1:
+            raise ValueError(f"{namespace} tier capacity must be >= 1")
+        self.owner = owner
+        self.namespace = namespace
+        self.expected_type = expected_type
+        self.capacity = capacity
+        self.disk_dir = disk_dir
+        self.file_prefix = file_prefix
+        self.fresh_copies = fresh_copies
+        self._hits, self._stores = hits, stores
+        self._misses, self._evictions = misses, evictions
+        self._memory: OrderedDict[str, object] = OrderedDict()
+
+    def _path(self, key: str) -> Optional[Path]:
+        if self.disk_dir is None:
+            return None
+        return self.disk_dir / f"{self.file_prefix}{key}.pkl"
+
+    def get(self, key: str):
+        """The value under ``key`` from the first tier holding a good copy,
+        or ``None`` on a miss."""
+        owner = self.owner
+        with owner._lock:
+            held = self._memory.get(key)
+            if held is not None:
+                self._memory.move_to_end(key)
+                if not self.fresh_copies:
+                    self._count(self._hits)
+                    return held
+        path = self._path(key)
+        source, value = "memory", None
+        if held is not None:  # a fresh_copies tier's pickle bytes
+            value = self._decode(held)
+            if value is None:
+                self._drop_local(key, path)
+        if value is None and path is not None:
+            held = self._disk_read(path)
+            if held is not None:
+                source, value = "disk", self._decode(held)
+                if value is None:
+                    self._drop_local(key, path)
+        remote = owner.remote
+        if value is None and remote is not None:
+            held = remote.get(f"{self.namespace}:{key}")
+            if held is not None:
+                source, value = "remote", self._decode(held)
+                if value is None:
+                    note = getattr(remote, "note_corrupt", None)
+                    if note is not None:
+                        note(f"{self.namespace}:{key}")
+                elif path is not None:
+                    self._disk_write(path, held)
+        with owner._lock:
+            if value is None:
+                self._count(self._misses)
+                return None
+            self._count(self._hits)
+            if source == "disk":
+                self._count("disk_hits")
+            if source != "memory":
+                self._insert(key, held if self.fresh_copies else value)
+        return value
+
+    def put(self, key: str, value, *, persist: bool = True) -> None:
+        """Store a freshly computed value in memory and, unless ``persist``
+        is false (another process already wrote the disk copy), on disk and
+        remote."""
+        owner = self.owner
+        with owner._lock:
+            self._count(self._stores)
+            if not self.fresh_copies:
+                self._insert(key, value)
+        path = self._path(key) if persist else None
+        remote = owner.remote if persist else None
+        if not self.fresh_copies and path is None and remote is None:
+            return
+        try:
+            payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+        except Exception:
+            with owner._lock:
+                self._count("disk_errors")
+            return
+        if self.fresh_copies:
+            with owner._lock:
+                self._insert(key, payload)
+        if path is not None:
+            self._disk_write(path, payload)
+        if remote is not None:
+            remote.put(f"{self.namespace}:{key}", payload)
+
+    def fetch(self, key: str, compute):
+        """:meth:`get`, or on a miss ``compute()`` and :meth:`put` its value.
+
+        Errors raised by ``compute`` propagate and nothing is stored."""
+        value = self.get(key)
+        if value is None:
+            value = compute()
+            self.put(key, value)
+        return value
+
+    def absorb_hit(self, key: str, value) -> None:
+        """Count a disk hit another process served and warm memory with it."""
+        with self.owner._lock:
+            self._count(self._hits)
+            self._count("disk_hits")
+            self._insert(key, value)
+
+    def clear(self) -> None:
+        with self.owner._lock:
+            self._memory.clear()
+
+    def __len__(self) -> int:
+        with self.owner._lock:
+            return len(self._memory)
+
+    # -- internals (``_count`` and ``_insert`` run under the owner's lock) ----
+
+    def _count(self, field_name: Optional[str]) -> None:
+        if field_name is not None:
+            stats = self.owner.stats
+            setattr(stats, field_name, getattr(stats, field_name) + 1)
+
+    def _insert(self, key: str, held) -> None:
+        self._memory[key] = held
+        self._memory.move_to_end(key)
+        while len(self._memory) > self.capacity:
+            self._memory.popitem(last=False)
+            self._count(self._evictions)
+
+    def _decode(self, payload: bytes):
+        try:
+            value = pickle.loads(payload)
+            module, _, name = self.expected_type.partition(":")
+            if isinstance(value, getattr(importlib.import_module(module), name)):
+                return value
+        except Exception:
+            pass
+        return None
+
+    def _drop_local(self, key: str, path: Optional[Path]) -> None:
+        with self.owner._lock:
+            self._count("disk_errors")
+            self._memory.pop(key, None)
+        if path is not None:
+            try:
+                path.unlink()
+            except OSError:
+                pass
+
+    def _disk_read(self, path: Path) -> Optional[bytes]:
+        try:
+            payload = path.read_bytes()
+        except FileNotFoundError:
+            return None
+        except OSError:
+            with self.owner._lock:
+                self._count("disk_errors")
+            return None
+        try:
+            os.utime(path)  # refresh mtime: LRU recency for eviction
+        except OSError:
+            pass
+        return payload
+
+    def _disk_write(self, path: Path, payload: bytes) -> None:
+        try:
+            atomic_write_bytes(path, payload)
+        except OSError:
+            with self.owner._lock:
+                self._count("disk_errors")
+            return
+        with self.owner._lock:
+            self._count("disk_stores")
+
+
 @dataclass
 class CacheStats:
     """Counters describing how a :class:`CompilationCache` has been used."""
@@ -299,13 +518,6 @@ class CompilationCache:
         per-stage tier under ``<cache_dir>/stages/``) is bounded: after every
         disk store, least-recently-used artefacts are deleted until the total
         is within budget (``stats.disk_evictions`` counts them).
-    stage_caching:
-        Construct a per-stage sub-cache (:class:`repro.pipeline.stages.
-        StageCache`, exposed as ``.stages``) sharing this cache's disk
-        directory and byte budget.  ``compile_sources`` compiles whole-result
-        misses through it, so a one-file edit of an N-file design re-parses
-        only the edited file.  Set to ``False`` for a PR-1-style
-        whole-result-only cache.
     remote:
         The shared remote L2 tier: a ``host:port`` endpoint string (a
         :class:`~repro.pipeline.remote.RemoteCacheClient` is built from
@@ -315,6 +527,12 @@ class CompilationCache:
         (write-behind), and a dead or slow remote degrades to local-only
         -- it can never fail a compile.
 
+    The results live in one :class:`CacheTier` (namespace ``result``).  The
+    per-stage sub-cache (:class:`repro.pipeline.stages.StageCache`, exposed
+    as ``.stages``) shares this cache's disk directory, byte budget and
+    remote; ``compile_sources`` compiles whole-result misses through it, so
+    a one-file edit of an N-file design re-parses only the edited file.
+
     The cache is thread-safe: the batch driver's thread executor shares one
     instance across all workers.
     """
@@ -322,35 +540,38 @@ class CompilationCache:
     max_entries: int = 128
     cache_dir: Optional[str | Path] = None
     max_disk_bytes: Optional[int] = None
-    stage_caching: bool = True
     remote: Optional[object] = None
     stats: CacheStats = field(default_factory=CacheStats)
 
     def __post_init__(self) -> None:
-        if self.max_entries < 1:
-            raise ValueError("max_entries must be >= 1")
         if self.max_disk_bytes is not None and self.max_disk_bytes < 0:
             raise ValueError("max_disk_bytes must be >= 0")
         if self.cache_dir is not None:
             self.cache_dir = Path(self.cache_dir)
+        self._lock = threading.Lock()
+        self._results = CacheTier(
+            self,
+            "result",
+            "repro.lang.compile:CompilationResult",
+            capacity=self.max_entries,
+            disk_dir=self.cache_dir,
+            misses="misses",
+            evictions="evictions",
+        )
         if isinstance(self.remote, str):
             from repro.pipeline.remote import RemoteCacheClient
 
             self.remote = RemoteCacheClient.from_url(self.remote)
-        self._entries: OrderedDict[str, "CompilationResult"] = OrderedDict()
-        self._lock = threading.Lock()
-        self.stages = None
-        if self.stage_caching:
-            from repro.pipeline.stages import StageCache
+        from repro.pipeline.stages import StageCache
 
-            self.stages = StageCache(
-                cache_dir=self.cache_dir,
-                max_disk_bytes=self.max_disk_bytes,
-                remote=self.remote,
-            )
+        self.stages = StageCache(
+            cache_dir=self.cache_dir,
+            max_disk_bytes=self.max_disk_bytes,
+            remote=self.remote,
+        )
         # Apply the budget to whatever is already on disk: a store that only
         # ever *hits* would otherwise never shrink after a budget decrease.
-        if self.cache_dir is not None and Path(self.cache_dir).is_dir():
+        if self.cache_dir is not None and self.cache_dir.is_dir():
             self.enforce_disk_budget()
 
     # -- keying ---------------------------------------------------------------
@@ -373,25 +594,7 @@ class CompilationCache:
         local tiers so the next process start over the same ``cache_dir``
         hits disk without touching the network.
         """
-        with self._lock:
-            result = self._entries.get(key)
-            if result is not None:
-                self._entries.move_to_end(key)
-                self.stats.hits += 1
-                return result
-        result = self._disk_load(key)
-        disk_hit = result is not None
-        if result is None:
-            result = self._remote_load(key)
-        with self._lock:
-            if result is not None:
-                self.stats.hits += 1
-                if disk_hit:
-                    self.stats.disk_hits += 1
-                self._insert(key, result)
-            else:
-                self.stats.misses += 1
-        return result
+        return self._results.get(key)
 
     def put(self, key: str, result: "CompilationResult", *, disk: bool = True) -> None:
         """Store a result under its content address (memory, disk, remote).
@@ -402,11 +605,9 @@ class CompilationCache:
         upload (when a remote is configured) is write-behind: the pickled
         payload is queued and the compile path never waits on the network.
         """
-        with self._lock:
-            self.stats.stores += 1
-            self._insert(key, result)
+        self._results.put(key, result, persist=disk)
         if disk:
-            self._disk_store(key, result)
+            self.enforce_disk_budget()
 
     def absorb_hit(self, key: str, result: "CompilationResult") -> None:
         """Fold in a hit observed by another process over the same disk store.
@@ -415,34 +616,18 @@ class CompilationCache:
         the parent calls this per warm result so its stats reflect the batch
         ("cached" designs <=> recorded hits) and its memory tier warms up.
         """
-        with self._lock:
-            self.stats.hits += 1
-            self.stats.disk_hits += 1
-            self._insert(key, result)
-
-    def contains(self, key: str) -> bool:
-        """Whether ``key`` would hit, without touching stats or LRU order."""
-        with self._lock:
-            if key in self._entries:
-                return True
-        return self.cache_dir is not None and self._disk_path(key).exists()
+        self._results.absorb_hit(key, result)
 
     def clear(self, *, disk: bool = False) -> None:
         """Drop the in-memory tiers (and, optionally, the on-disk store).
 
         Cascades to the per-stage sub-cache: a cleared cache serves no warm
         artefacts of any kind, and ``disk=True`` reclaims the whole
-        directory including ``stages/``.
+        directory including ``stages/`` and stale ``.tmp`` leaks from
+        crashed writers.
         """
-        with self._lock:
-            self._entries.clear()
+        self._results.clear()
         if disk and self.cache_dir is not None and self.cache_dir.is_dir():
-            # Recursive, and independent of whether a StageCache is
-            # attached: a stage_caching=False instance pointed at a
-            # directory that *has* stage artefacts (written by an earlier
-            # configuration) must still reclaim them -- they count against
-            # max_disk_bytes either way.  Stale .tmp leaks from crashed
-            # writers go with them.
             for pattern in ("*.pkl", "*.tmp"):
                 for path in self.cache_dir.rglob(pattern):
                     try:
@@ -450,12 +635,10 @@ class CompilationCache:
                     except OSError:
                         with self._lock:
                             self.stats.disk_errors += 1
-        if self.stages is not None:
-            self.stages.clear(disk=disk)
+        self.stages.clear(disk=disk)
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return len(self._results)
 
     def stats_snapshot(self) -> dict[str, object]:
         """A consistent copy of the counters, taken under the cache lock.
@@ -478,103 +661,11 @@ class CompilationCache:
             )
         return snapshot
 
-    # -- internals ------------------------------------------------------------
-
-    def _insert(self, key: str, result: "CompilationResult") -> None:
-        """Insert under the lock, evicting the LRU entry on overflow."""
-        self._entries[key] = result
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
-            self.stats.evictions += 1
-
-    def _disk_path(self, key: str) -> Path:
-        return Path(self.cache_dir) / f"{key}.pkl"
-
-    def _disk_load(self, key: str) -> Optional["CompilationResult"]:
-        if self.cache_dir is None:
-            return None
-        path = self._disk_path(key)
-        try:
-            with path.open("rb") as handle:
-                result = pickle.load(handle)
-            try:
-                os.utime(path)  # refresh mtime: LRU recency for eviction
-            except OSError:
-                pass
-            return result
-        except FileNotFoundError:
-            return None
-        except (OSError, pickle.PickleError, EOFError, AttributeError, ImportError):
-            # A corrupt or stale artefact is just a miss; drop it if we can.
-            with self._lock:
-                self.stats.disk_errors += 1
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            return None
-
-    def _disk_store(self, key: str, result: "CompilationResult") -> None:
-        """Persist one result to the durable tiers: local disk, then remote.
-
-        One ``pickle.dumps`` serves both -- the remote tier stores exactly
-        the bytes the disk tier stores, so a remote hit round-trips through
-        the same deserialisation (and the same corruption guards) as a
-        disk hit.
-        """
-        if self.cache_dir is None and self.remote is None:
-            return
-        try:
-            payload = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
-        except (pickle.PickleError, TypeError):
-            with self._lock:
-                self.stats.disk_errors += 1
-            return
-        if self.cache_dir is not None:
-            try:
-                atomic_write_bytes(self._disk_path(key), payload)
-                with self._lock:
-                    self.stats.disk_stores += 1
-                self.enforce_disk_budget()
-            except OSError:
-                with self._lock:
-                    self.stats.disk_errors += 1
-        if self.remote is not None:
-            self.remote.put(f"result:{key}", payload)
-
-    def _remote_load(self, key: str) -> Optional["CompilationResult"]:
-        """One remote lookup; corrupt payloads are a counted miss, never a
-        raise (mirroring the disk tier's corruption discipline)."""
-        if self.remote is None:
-            return None
-        payload = self.remote.get(f"result:{key}")
-        if payload is None:
-            return None
-        try:
-            result = pickle.loads(payload)
-        except (pickle.PickleError, EOFError, AttributeError, ImportError, ValueError):
-            note = getattr(self.remote, "note_corrupt", None)
-            if note is not None:
-                note(f"result:{key}")
-            return None
-        if self.cache_dir is not None:
-            # Promote to the local disk tier (the bytes are already the
-            # disk format); no re-upload -- the entry came from the remote.
-            try:
-                atomic_write_bytes(self._disk_path(key), payload)
-                with self._lock:
-                    self.stats.disk_stores += 1
-            except OSError:
-                with self._lock:
-                    self.stats.disk_errors += 1
-        return result
-
     def enforce_disk_budget(self) -> int:
         """Apply ``max_disk_bytes`` to the on-disk store (both tiers)."""
         if self.cache_dir is None or self.max_disk_bytes is None:
             return 0
-        evicted = evict_lru_files(Path(self.cache_dir), self.max_disk_bytes)
+        evicted = evict_lru_files(self.cache_dir, self.max_disk_bytes)
         if evicted:
             with self._lock:
                 self.stats.disk_evictions += evicted

@@ -37,12 +37,17 @@ reusable.  :class:`StageCache` exploits exactly that structure:
   re-emits only the implementations it actually changed -- the remaining
   uncached stage left open by PR 2.
 
-Both tiers live in memory (bounded LRUs) and, when ``cache_dir`` is set,
-under ``<cache_dir>/stages/`` on disk (``ast-<key>.pkl`` /
-``eval-<key>.pkl``, written atomically).  A ``max_disk_bytes`` budget is
-enforced over the *whole* cache directory -- whole-result artefacts
-included -- via LRU-by-mtime eviction, so per-stage artefacts cannot grow
-``.tydi-cache/`` without bound.
+* **Simulation-report cache** -- :meth:`StageCache.cached_simulation`
+  memoises plan-driven simulation reports (``sim-<key>.pkl``).
+
+Each namespace is one :class:`~repro.pipeline.cache.CacheTier`: a bounded
+memory LRU, then -- when ``cache_dir`` is set -- ``<cache_dir>/stages/
+<ns>-<key>.pkl`` on disk (``ns`` one of ``ast`` / ``eval`` / ``iringest`` /
+``backend`` / ``sim``, written atomically), then the remote tier under
+``<ns>:<key>``.  A ``max_disk_bytes`` budget is enforced over the *whole*
+cache directory -- whole-result artefacts included -- via LRU-by-mtime
+eviction, so per-stage artefacts cannot grow ``.tydi-cache/`` without
+bound.
 
 :meth:`StageCache.compile` composes the *same* stage functions as the
 monolithic ``compile_sources`` (:func:`repro.lang.compile.parse_stage` and
@@ -55,10 +60,8 @@ edits.
 from __future__ import annotations
 
 import hashlib
-import os
 import pickle
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
@@ -82,13 +85,20 @@ from repro.lang.parser import parse_source
 from repro.pipeline.cache import (
     CACHE_VERSION,
     STAGE_SCHEMA_VERSION,
-    atomic_write_bytes,
+    CacheTier,
     canonical_option_repr,
     evict_lru_files,
 )
 
 #: Subdirectory of the cache dir holding per-stage artefacts.
 STAGE_DIR_NAME = "stages"
+
+#: In-memory LRU capacities of the stage tiers.
+PARSE_ENTRIES = 512
+EVALUATE_ENTRIES = 64
+INGEST_ENTRIES = 64
+BACKEND_ENTRIES = 1024
+SIM_ENTRIES = 128
 
 #: Options that change the outcome of parse+evaluate (and therefore
 #: participate in the snapshot key).  ``sugaring`` / ``run_drc`` /
@@ -185,29 +195,28 @@ class StageStats:
 
 
 class StageCache:
-    """Memoises per-file parse results and post-evaluate snapshots.
+    """Memoises the frontend's per-stage artefacts: one
+    :class:`~repro.pipeline.cache.CacheTier` per namespace.
 
     Parameters
     ----------
-    max_parse_entries / max_evaluate_entries:
-        In-memory LRU capacities of the two tiers.
     cache_dir:
         Root of the on-disk store (shared with a
         :class:`~repro.pipeline.cache.CompilationCache` when this instance
         is owned by one); per-stage artefacts live under
         ``<cache_dir>/stages/``.
     max_disk_bytes:
-        Byte budget enforced over ``cache_dir`` (recursively) after every
-        disk store; least-recently-used ``*.pkl`` artefacts are deleted
+        Byte budget enforced over ``cache_dir`` (recursively) once per
+        :meth:`compile`; least-recently-used ``*.pkl`` artefacts are deleted
         first.
     remote:
         The shared remote L2 tier (a :class:`~repro.pipeline.remote.
         RemoteCacheClient`, usually the owning
         :class:`~repro.pipeline.cache.CompilationCache`'s).  Each tier
         consults it after its local miss (namespaces ``ast`` / ``eval`` /
-        ``backend``), promotes remote hits into memory + disk, and uploads
-        fresh artefacts write-behind.  A dead remote degrades to
-        local-only.
+        ``iringest`` / ``backend`` / ``sim``), promotes remote hits into
+        memory + disk, and uploads fresh artefacts write-behind.  A dead
+        remote degrades to local-only.
 
     Thread-safe; one instance may serve every worker of a thread-executor
     batch.
@@ -216,31 +225,13 @@ class StageCache:
     def __init__(
         self,
         *,
-        max_parse_entries: int = 512,
-        max_evaluate_entries: int = 64,
-        max_ingest_entries: int = 64,
-        max_backend_entries: int = 1024,
-        max_sim_entries: int = 128,
         cache_dir: Optional[str | Path] = None,
         max_disk_bytes: Optional[int] = None,
         remote: Optional[object] = None,
         emit_jobs: Optional[int] = None,
     ) -> None:
-        if (
-            max_parse_entries < 1
-            or max_evaluate_entries < 1
-            or max_ingest_entries < 1
-            or max_backend_entries < 1
-            or max_sim_entries < 1
-        ):
-            raise ValueError("stage cache LRU capacities must be >= 1")
         if emit_jobs is not None and emit_jobs < 1:
             raise ValueError("emit_jobs must be >= 1")
-        self.max_parse_entries = max_parse_entries
-        self.max_evaluate_entries = max_evaluate_entries
-        self.max_ingest_entries = max_ingest_entries
-        self.max_backend_entries = max_backend_entries
-        self.max_sim_entries = max_sim_entries
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self.max_disk_bytes = max_disk_bytes
         if isinstance(remote, str):
@@ -254,22 +245,34 @@ class StageCache:
         #: emission produce byte-identical units.
         self.emit_jobs = emit_jobs
         self.stats = StageStats()
-        self._parse: OrderedDict[str, SourceUnit] = OrderedDict()
-        #: Snapshots are held as pickle *bytes* so cached state can never be
-        #: mutated through an aliased object; every use deserialises fresh.
-        self._evaluate: OrderedDict[str, bytes] = OrderedDict()
-        #: Post-ingest projects of Tydi-IR interchange documents, pickled
-        #: for the same aliasing reason (sugar/DRC mutate the project).
-        self._ingest: OrderedDict[str, bytes] = OrderedDict()
-        #: Per-implementation backend unit outputs ({filename: text}); plain
-        #: string payloads, safe to share across compilations.
-        self._backend: OrderedDict[str, dict[str, str]] = OrderedDict()
-        #: Simulation reports keyed on evaluate fingerprint + plan
-        #: fingerprint (:meth:`sim_key`).  Served as-is: treat a cached
-        #: :class:`repro.sim.harness.SimulationReport` as immutable, like
-        #: any result obtained through a cache.
-        self._sim: OrderedDict[str, object] = OrderedDict()
         self._lock = threading.Lock()
+        stage_dir = self.cache_dir / STAGE_DIR_NAME if self.cache_dir else None
+
+        def tier(namespace, counter, expected_type, capacity, fresh_copies=False):
+            return CacheTier(
+                self,
+                namespace,
+                expected_type,
+                capacity=capacity,
+                disk_dir=stage_dir,
+                file_prefix=f"{namespace}-",
+                fresh_copies=fresh_copies,
+                hits=f"{counter}_hits",
+                stores=f"{counter}_misses",
+            )
+
+        # The snapshot tiers hold pickle bytes and unpickle on every use:
+        # sugar/DRC mutate the project, so it must never be aliased.
+        self._parse = tier("ast", "parse", "repro.lang.ast:SourceUnit", PARSE_ENTRIES)
+        self._evaluate = tier(
+            "eval", "evaluate", "builtins:tuple", EVALUATE_ENTRIES, fresh_copies=True
+        )
+        self._ingest = tier(
+            "iringest", "ingest", "builtins:tuple", INGEST_ENTRIES, fresh_copies=True
+        )
+        self._backend = tier("backend", "backend", "builtins:dict", BACKEND_ENTRIES)
+        self._sim = tier("sim", "sim", "repro.sim.harness:SimulationReport", SIM_ENTRIES)
+        self._tiers = (self._parse, self._evaluate, self._ingest, self._backend, self._sim)
 
     # -- keying ---------------------------------------------------------------
 
@@ -361,39 +364,16 @@ class StageCache:
         :func:`~repro.lang.compile.parse_stage` as ``parse_file``).  Parse
         errors propagate unchanged and are never cached.
         """
-        key = file_fingerprint(text, filename)
-        with self._lock:
-            unit = self._parse.get(key)
-            if unit is not None:
-                self._parse.move_to_end(key)
-                self.stats.parse_hits += 1
-                return unit
-        unit = self._disk_load(self._ast_path(key), SourceUnit)
-        if unit is not None:
-            with self._lock:
-                self.stats.parse_hits += 1
-                self.stats.disk_hits += 1
-                self._insert(self._parse, key, unit, self.max_parse_entries)
-            return unit
-        unit = self._remote_load("ast", key, SourceUnit, self._ast_path(key))
-        if unit is not None:
-            with self._lock:
-                self.stats.parse_hits += 1
-                self._insert(self._parse, key, unit, self.max_parse_entries)
-            return unit
-        unit = parse_source(text, filename)
-        with self._lock:
-            self.stats.parse_misses += 1
-            self._insert(self._parse, key, unit, self.max_parse_entries)
-        self._disk_store(self._ast_path(key), unit, namespace="ast", key=key)
-        return unit
+        return self._parse.fetch(
+            file_fingerprint(text, filename), lambda: parse_source(text, filename)
+        )
 
     def cached_backend_unit(self, project, implementation, backend) -> dict[str, str]:
         """One implementation's backend output, through the unit cache.
 
         A hit serves the memoised ``{filename: text}`` mapping without
         touching the backend; a miss calls ``backend.emit_unit`` and stores
-        the result in both tiers.  Emission errors propagate unchanged and
+        the result in every tier.  Emission errors propagate unchanged and
         are never cached.
         """
         from repro.backends import implementation_fingerprint
@@ -401,42 +381,7 @@ class StageCache:
         key = self.backend_unit_key(
             backend, implementation_fingerprint(project, implementation)
         )
-        files = self._backend_unit_lookup(key)
-        if files is not None:
-            return files
-        files = backend.emit_unit(project, implementation)
-        self._backend_unit_store(key, files)
-        return files
-
-    def _backend_unit_lookup(self, key: str) -> Optional[dict[str, str]]:
-        """Probe the backend-unit tiers (memory -> disk -> remote) only."""
-        with self._lock:
-            files = self._backend.get(key)
-            if files is not None:
-                self._backend.move_to_end(key)
-                self.stats.backend_hits += 1
-                return files
-        files = self._disk_load(self._backend_path(key), dict)
-        if files is not None:
-            with self._lock:
-                self.stats.backend_hits += 1
-                self.stats.disk_hits += 1
-                self._insert(self._backend, key, files, self.max_backend_entries)
-            return files
-        files = self._remote_load("backend", key, dict, self._backend_path(key))
-        if files is not None:
-            with self._lock:
-                self.stats.backend_hits += 1
-                self._insert(self._backend, key, files, self.max_backend_entries)
-            return files
-        return None
-
-    def _backend_unit_store(self, key: str, files: dict[str, str]) -> None:
-        """Record one freshly emitted unit in every tier (a miss)."""
-        with self._lock:
-            self.stats.backend_misses += 1
-            self._insert(self._backend, key, files, self.max_backend_entries)
-        self._disk_store(self._backend_path(key), files, namespace="backend", key=key)
+        return self._backend.fetch(key, lambda: backend.emit_unit(project, implementation))
 
     def cached_simulation(self, key: str, compute):
         """One plan-driven simulation report, through the ``sim:`` tier.
@@ -449,33 +394,7 @@ class StageCache:
         cached.  Standalone callers with a ``max_disk_bytes`` budget should
         call :meth:`enforce_disk_budget` after a burst of stores.
         """
-        from repro.sim.harness import SimulationReport
-
-        with self._lock:
-            report = self._sim.get(key)
-            if report is not None:
-                self._sim.move_to_end(key)
-                self.stats.sim_hits += 1
-                return report
-        report = self._disk_load(self._sim_path(key), SimulationReport)
-        if report is not None:
-            with self._lock:
-                self.stats.sim_hits += 1
-                self.stats.disk_hits += 1
-                self._insert(self._sim, key, report, self.max_sim_entries)
-            return report
-        report = self._remote_load("sim", key, SimulationReport, self._sim_path(key))
-        if report is not None:
-            with self._lock:
-                self.stats.sim_hits += 1
-                self._insert(self._sim, key, report, self.max_sim_entries)
-            return report
-        report = compute()
-        with self._lock:
-            self.stats.sim_misses += 1
-            self._insert(self._sim, key, report, self.max_sim_entries)
-        self._disk_store(self._sim_path(key), report, namespace="sim", key=key)
-        return report
+        return self._sim.fetch(key, compute)
 
     def emit_backend(self, project, backend) -> dict[str, str]:
         """Emit one backend over ``project`` with per-implementation caching.
@@ -502,7 +421,7 @@ class StageCache:
             key = self.backend_unit_key(
                 backend, implementation_fingerprint(project, implementation)
             )
-            files = self._backend_unit_lookup(key)
+            files = self._backend.get(key)
             if files is None:
                 cold.append((name, key))
             units[name] = files
@@ -519,7 +438,7 @@ class StageCache:
                 }
             for name, key in cold:
                 files = emitted[name]
-                self._backend_unit_store(key, files)
+                self._backend.put(key, files)
                 units[name] = files
         return backend.assemble(project, backend.emit_shared(project), units)
 
@@ -568,20 +487,14 @@ class StageCache:
         options = dict(options or {})
         include_stdlib = options.get("include_stdlib", True)
 
-        eval_key = self.evaluate_key(normalized, options)
-        snapshot = self._load_snapshot(eval_key)
-        # The unit list is served by the parse tier either way; on a
-        # snapshot hit every file is a parse-cache hit (shared, immutable
-        # ASTs), so only the mutable project/diagnostics ride in the pickle.
+        # On a snapshot hit every file is a parse-cache hit (shared,
+        # immutable ASTs), so only the mutable project/diagnostics ride in
+        # the pickle.
         units, parse_entry = parse_stage(
             normalized, include_stdlib=include_stdlib, parse_file=self.cached_parse
         )
-        if snapshot is not None:
-            project, diagnostics, evaluate_entry = snapshot
-            stages = [parse_entry, evaluate_entry]
-            with self._lock:
-                self.stats.evaluate_hits += 1
-        else:
+
+        def evaluate():
             diagnostics = DiagnosticSink()
             # Values pass through verbatim (same defaults as compile_sources,
             # no falsy coercion): a degenerate option like project_name=""
@@ -593,12 +506,15 @@ class StageCache:
                 top_args=options.get("top_args", ()),
                 project_name=options.get("project_name", "design"),
             )
-            stages = [parse_entry, evaluate_entry]
-            with self._lock:
-                self.stats.evaluate_misses += 1
-            # Snapshot *before* sugaring: sugar/DRC mutate the project, and
-            # the stored bytes must stay the pristine post-evaluate state.
-            self._store_snapshot(eval_key, (project, diagnostics, evaluate_entry))
+            return project, diagnostics, evaluate_entry
+
+        # The tier pickles the snapshot on store, *before* sugar/DRC mutate
+        # the project, so the stored bytes stay the pristine post-evaluate
+        # state.
+        project, diagnostics, evaluate_entry = self._evaluate.fetch(
+            self.evaluate_key(normalized, options), evaluate
+        )
+        stages = [parse_entry, evaluate_entry]
 
         sugaring_report = None
         if options.get("sugaring", True):
@@ -661,19 +577,10 @@ class StageCache:
             options = options.as_dict()
         options = dict(options or {})
 
-        key = self.ingest_key(text)
-        snapshot = self._load_ingest_snapshot(key)
-        if snapshot is not None:
-            project, ingest_entry = snapshot
-            with self._lock:
-                self.stats.ingest_hits += 1
-        else:
-            project, ingest_entry = ingest_stage(text, filename=filename)
-            with self._lock:
-                self.stats.ingest_misses += 1
-            # Snapshot *before* sugaring: sugar/DRC mutate the project, and
-            # the stored bytes must stay the pristine post-ingest state.
-            self._store_ingest_snapshot(key, (project, ingest_entry))
+        # Pickled on store, before sugar/DRC mutate the project.
+        project, ingest_entry = self._ingest.fetch(
+            self.ingest_key(text), lambda: ingest_stage(text, filename=filename)
+        )
 
         diagnostics = DiagnosticSink()
         stages: list[CompilationStage] = [ingest_entry]
@@ -714,12 +621,8 @@ class StageCache:
 
     def clear(self, *, disk: bool = False) -> None:
         """Drop the in-memory tiers (and, optionally, the on-disk artefacts)."""
-        with self._lock:
-            self._parse.clear()
-            self._evaluate.clear()
-            self._ingest.clear()
-            self._backend.clear()
-            self._sim.clear()
+        for tier in self._tiers:
+            tier.clear()
         if disk and self.cache_dir is not None:
             stage_dir = self.cache_dir / STAGE_DIR_NAME
             if stage_dir.is_dir():
@@ -731,291 +634,7 @@ class StageCache:
                             self.stats.disk_errors += 1
 
     def __len__(self) -> int:
-        with self._lock:
-            return (
-                len(self._parse)
-                + len(self._evaluate)
-                + len(self._ingest)
-                + len(self._backend)
-                + len(self._sim)
-            )
-
-    # -- internals ------------------------------------------------------------
-
-    @staticmethod
-    def _insert(table: OrderedDict, key: str, value, capacity: int) -> None:
-        table[key] = value
-        table.move_to_end(key)
-        while len(table) > capacity:
-            table.popitem(last=False)
-
-    def _ast_path(self, key: str) -> Optional[Path]:
-        if self.cache_dir is None:
-            return None
-        return self.cache_dir / STAGE_DIR_NAME / f"ast-{key}.pkl"
-
-    def _eval_path(self, key: str) -> Optional[Path]:
-        if self.cache_dir is None:
-            return None
-        return self.cache_dir / STAGE_DIR_NAME / f"eval-{key}.pkl"
-
-    def _ingest_path(self, key: str) -> Optional[Path]:
-        if self.cache_dir is None:
-            return None
-        return self.cache_dir / STAGE_DIR_NAME / f"iringest-{key}.pkl"
-
-    def _backend_path(self, key: str) -> Optional[Path]:
-        if self.cache_dir is None:
-            return None
-        return self.cache_dir / STAGE_DIR_NAME / f"backend-{key}.pkl"
-
-    def _sim_path(self, key: str) -> Optional[Path]:
-        if self.cache_dir is None:
-            return None
-        return self.cache_dir / STAGE_DIR_NAME / f"sim-{key}.pkl"
-
-    def _load_snapshot(self, key: str):
-        """Load one evaluate snapshot (fresh deserialisation per use)."""
-        return self._load_pickled_snapshot(
-            key,
-            table=self._evaluate,
-            capacity=self.max_evaluate_entries,
-            path=self._eval_path(key),
-            namespace="eval",
-        )
-
-    def _store_snapshot(self, key: str, snapshot: tuple) -> None:
-        self._store_pickled_snapshot(
-            key,
-            snapshot,
-            table=self._evaluate,
-            capacity=self.max_evaluate_entries,
-            path=self._eval_path(key),
-            namespace="eval",
-        )
-
-    def _load_ingest_snapshot(self, key: str):
-        """Load one post-ingest snapshot (fresh deserialisation per use)."""
-        return self._load_pickled_snapshot(
-            key,
-            table=self._ingest,
-            capacity=self.max_ingest_entries,
-            path=self._ingest_path(key),
-            namespace="iringest",
-        )
-
-    def _store_ingest_snapshot(self, key: str, snapshot: tuple) -> None:
-        self._store_pickled_snapshot(
-            key,
-            snapshot,
-            table=self._ingest,
-            capacity=self.max_ingest_entries,
-            path=self._ingest_path(key),
-            namespace="iringest",
-        )
-
-    def _load_pickled_snapshot(
-        self,
-        key: str,
-        *,
-        table: OrderedDict,
-        capacity: int,
-        path: Optional[Path],
-        namespace: str,
-    ):
-        """The shared snapshot read path (memory -> disk -> remote).
-
-        Snapshots are held as pickle bytes in every tier, so each call
-        deserialises a fresh object graph -- cached state can never be
-        mutated through an aliased reference.
-        """
-        payload: Optional[bytes] = None
-        from_remote = False
-        with self._lock:
-            payload = table.get(key)
-            if payload is not None:
-                table.move_to_end(key)
-        if payload is None:
-            payload = self._disk_read(path)
-            if payload is not None:
-                with self._lock:
-                    self.stats.disk_hits += 1
-                    self._insert(table, key, payload, capacity)
-            else:
-                payload = self._remote_get(namespace, key)
-                if payload is None:
-                    return None
-                from_remote = True
-                with self._lock:
-                    self._insert(table, key, payload, capacity)
-        try:
-            snapshot = pickle.loads(payload)
-        except (pickle.PickleError, EOFError, AttributeError, ImportError, ValueError):
-            # A stale or corrupt snapshot (e.g. from a crashed writer, or a
-            # bad remote blob) is a miss; drop it from every local tier so
-            # it is rebuilt.
-            with self._lock:
-                self.stats.disk_errors += 1
-                table.pop(key, None)
-            if from_remote:
-                self._note_remote_corrupt(namespace, key)
-            elif path is not None:
-                try:
-                    path.unlink()
-                except OSError:
-                    pass
-            return None
-        if from_remote:
-            self._promote_to_disk(path, payload)
-        return snapshot
-
-    def _store_pickled_snapshot(
-        self,
-        key: str,
-        snapshot: tuple,
-        *,
-        table: OrderedDict,
-        capacity: int,
-        path: Optional[Path],
-        namespace: str,
-    ) -> None:
-        try:
-            payload = pickle.dumps(snapshot, protocol=pickle.HIGHEST_PROTOCOL)
-        except (pickle.PickleError, TypeError):
-            with self._lock:
-                self.stats.disk_errors += 1
-            return
-        with self._lock:
-            self._insert(table, key, payload, capacity)
-        if path is not None:
-            try:
-                atomic_write_bytes(path, payload)
-                with self._lock:
-                    self.stats.disk_stores += 1
-            except OSError:
-                with self._lock:
-                    self.stats.disk_errors += 1
-        self._remote_put(namespace, key, payload)
-
-    def _disk_read(self, path: Optional[Path]) -> Optional[bytes]:
-        if path is None:
-            return None
-        try:
-            payload = path.read_bytes()
-        except FileNotFoundError:
-            return None
-        except OSError:
-            with self._lock:
-                self.stats.disk_errors += 1
-            return None
-        try:
-            os.utime(path)  # refresh mtime: LRU recency for eviction
-        except OSError:
-            pass
-        return payload
-
-    def _disk_load(self, path: Optional[Path], expected_type: type) -> Optional[object]:
-        payload = self._disk_read(path)
-        if payload is None:
-            return None
-        try:
-            value = pickle.loads(payload)
-            if not isinstance(value, expected_type):
-                raise pickle.UnpicklingError(f"expected {expected_type.__name__}")
-            return value
-        except (pickle.PickleError, EOFError, AttributeError, ImportError, ValueError):
-            with self._lock:
-                self.stats.disk_errors += 1
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            return None
-
-    def _disk_store(
-        self,
-        path: Optional[Path],
-        value: object,
-        *,
-        namespace: Optional[str] = None,
-        key: Optional[str] = None,
-    ) -> None:
-        """Store one artefact locally and enqueue its write-behind upload.
-
-        The value is pickled once and the same payload feeds both sinks;
-        budget enforcement is deferred to the caller (one pass per
-        :meth:`compile`, not one per file)."""
-        if path is None and self.remote is None:
-            return
-        try:
-            payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-        except (pickle.PickleError, TypeError):
-            with self._lock:
-                self.stats.disk_errors += 1
-            return
-        if path is not None:
-            try:
-                atomic_write_bytes(path, payload)
-                with self._lock:
-                    self.stats.disk_stores += 1
-            except OSError:
-                with self._lock:
-                    self.stats.disk_errors += 1
-        if namespace is not None and key is not None:
-            self._remote_put(namespace, key, payload)
-
-    # -- the remote (L2) tier -------------------------------------------------
-
-    def _remote_get(self, namespace: str, key: str) -> Optional[bytes]:
-        if self.remote is None:
-            return None
-        return self.remote.get(f"{namespace}:{key}")
-
-    def _remote_put(self, namespace: str, key: str, payload: Optional[bytes]) -> None:
-        if self.remote is not None and payload is not None:
-            self.remote.put(f"{namespace}:{key}", payload)
-
-    def _note_remote_corrupt(self, namespace: str, key: str) -> None:
-        note = getattr(self.remote, "note_corrupt", None)
-        if note is not None:
-            note(f"{namespace}:{key}")
-
-    def _remote_load(
-        self,
-        namespace: str,
-        key: str,
-        expected_type: type,
-        promote_path: Optional[Path],
-    ) -> Optional[object]:
-        """Fetch + unpickle one artefact from the remote tier.
-
-        A corrupt payload is a miss (reported back to the client's corrupt
-        counter), never an exception; a good one is promoted to local disk
-        without being re-uploaded."""
-        payload = self._remote_get(namespace, key)
-        if payload is None:
-            return None
-        try:
-            value = pickle.loads(payload)
-            if not isinstance(value, expected_type):
-                raise pickle.UnpicklingError(f"expected {expected_type.__name__}")
-        except (pickle.PickleError, EOFError, AttributeError, ImportError, ValueError):
-            self._note_remote_corrupt(namespace, key)
-            return None
-        self._promote_to_disk(promote_path, payload)
-        return value
-
-    def _promote_to_disk(self, path: Optional[Path], payload: bytes) -> None:
-        """Write a remote hit into the local disk tier (no re-upload)."""
-        if path is None:
-            return
-        try:
-            atomic_write_bytes(path, payload)
-            with self._lock:
-                self.stats.disk_stores += 1
-        except OSError:
-            with self._lock:
-                self.stats.disk_errors += 1
+        return sum(len(tier) for tier in self._tiers)
 
     def enforce_disk_budget(self) -> int:
         """Apply ``max_disk_bytes`` over the whole cache directory."""

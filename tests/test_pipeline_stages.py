@@ -21,6 +21,8 @@ from repro.pipeline import (
     file_fingerprint,
     run_jobs,
 )
+from repro.lang.parser import parse_source
+from repro.pipeline.cache import CacheTier
 from repro.pipeline.stages import STAGE_DIR_NAME
 from repro.testing import build_chain_design, build_random_design, mutate_design
 
@@ -93,15 +95,27 @@ class TestParseTier:
 
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
-            StageCache(max_parse_entries=0)
+            CacheTier(StageCache(), "ast", "repro.lang.ast:SourceUnit", capacity=0)
         with pytest.raises(ValueError):
-            StageCache(max_evaluate_entries=0)
+            CompilationCache(max_entries=0)
 
     def test_parse_lru_bounded(self):
-        cache = StageCache(max_parse_entries=2)
+        owner = StageCache()
+        tier = CacheTier(
+            owner,
+            "ast",
+            "repro.lang.ast:SourceUnit",
+            capacity=2,
+            hits="parse_hits",
+            stores="parse_misses",
+        )
         for index in range(5):
-            cache.cached_parse(f"const c{index} = {index};", f"f{index}.td")
-        assert len(cache) == 2
+            tier.fetch(f"k{index}", lambda: parse_source(f"const c{index} = {index};", "f.td"))
+        assert len(tier) == 2
+        assert owner.stats.parse_misses == 5
+        assert tier.get("k0") is None  # evicted first
+        assert tier.get("k4") is not None
+        assert owner.stats.parse_hits == 1
 
 
 class TestEvaluateTier:

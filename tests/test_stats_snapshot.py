@@ -29,7 +29,7 @@ GOOD = (
 
 class TestCacheStatsSnapshot:
     def test_snapshot_matches_as_dict_when_quiescent(self):
-        cache = CompilationCache(stage_caching=False)
+        cache = CompilationCache()
         result = compile_sources([GOOD], cache=cache)
         assert result is not None
         assert cache.stats_snapshot() == cache.stats.as_dict()
@@ -40,7 +40,7 @@ class TestCacheStatsSnapshot:
         the next lookup starts (both mutations happen under the cache
         lock), so hits + misses can never exceed the writers' progress nor
         run backwards between snapshots."""
-        cache = CompilationCache(max_entries=4, stage_caching=False)
+        cache = CompilationCache(max_entries=4)
         result = compile_sources([GOOD], cache=None)
         rounds = 300
         writers = 4
