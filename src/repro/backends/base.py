@@ -33,6 +33,7 @@ from typing import ClassVar, Mapping, Optional
 
 from repro.errors import TydiBackendError
 from repro.ir.model import Implementation, Port, Project, Streamlet
+from repro.spec.logical_types import rendered_tydi
 
 
 @dataclass(frozen=True)
@@ -140,19 +141,6 @@ class Backend(ABC):
 # ---------------------------------------------------------------------------
 
 
-def _port_token(port: Port) -> str:
-    attrs = ",".join(f"{key}={port.attributes[key]!r}" for key in sorted(port.attributes))
-    return (
-        f"{port.name}:{port.logical_type.to_tydi()}:{port.direction}"
-        f":{port.clock_domain.name}:{attrs}"
-    )
-
-
-def _streamlet_token(streamlet: Streamlet) -> str:
-    ports = ";".join(_port_token(port) for port in streamlet.ports)
-    return f"streamlet {streamlet.name} doc={streamlet.documentation!r} ports[{ports}]"
-
-
 def _metadata_token(metadata: Mapping[str, object]) -> str:
     return ",".join(f"{key}={metadata[key]!r}" for key in sorted(metadata))
 
@@ -170,34 +158,88 @@ def implementation_fingerprint(project: Project, implementation: Implementation)
 
     Two implementations with equal fingerprints produce byte-identical unit
     output under any backend, which is what keys the per-implementation
-    backend-output cache.
+    backend-output cache.  To fingerprint many implementations of one
+    project, use :class:`ProjectFingerprints`.
     """
-    parts = [
-        f"impl {implementation.name} of {implementation.streamlet}",
-        f"external={implementation.external}",
-        f"doc={implementation.documentation!r}",
-        f"meta={_metadata_token(implementation.metadata)}",
-        _streamlet_token(project.streamlet_of(implementation)),
-    ]
-    for instance in implementation.instances:
-        inner_impl = project.implementation(instance.implementation)
-        parts.append(
-            f"instance {instance.name}({instance.implementation}) "
-            f"external={inner_impl.external} "
-            f"meta={_metadata_token(inner_impl.metadata)} "
-            f"imeta={_metadata_token(instance.metadata)} "
-            + _streamlet_token(project.streamlet_of(inner_impl))
+    return ProjectFingerprints(project).of(implementation)
+
+
+class ProjectFingerprints:
+    """:func:`implementation_fingerprint` over one project, with shared parts.
+
+    Each streamlet's token, each inner implementation's token and each
+    logical type's rendering is built once per instance of this class and
+    reused by every fingerprint that needs it; the fingerprints themselves
+    are byte-identical to unshared ones.  The memo lives in this object
+    only -- nothing is attached to the project -- so build a fresh one
+    whenever the project may have changed.
+    """
+
+    def __init__(self, project: Project) -> None:
+        self.project = project
+        #: Keyed by ``id``: the project holds every streamlet and
+        #: implementation alive.
+        self._streamlets: dict[int, str] = {}
+        self._metadata_tokens: dict[int, str] = {}
+        self._inner: dict[str, tuple[str, str]] = {}
+
+    def of(self, implementation: Implementation) -> str:
+        """The fingerprint of ``implementation`` (one of the project's)."""
+        project = self.project
+        parts = [
+            f"impl {implementation.name} of {implementation.streamlet}",
+            f"external={implementation.external}",
+            f"doc={implementation.documentation!r}",
+            f"meta={self._metadata(implementation)}",
+            self._streamlet(project.streamlet_of(implementation)),
+        ]
+        for instance in implementation.instances:
+            head, streamlet = self._inner_tokens(instance.implementation)
+            parts.append(
+                f"instance {instance.name}({instance.implementation}) {head}"
+                f"imeta={_metadata_token(instance.metadata)} {streamlet}"
+            )
+        for connection in implementation.connections:
+            conn_type = rendered_tydi(connection.logical_type) if connection.logical_type else "-"
+            parts.append(
+                f"conn {connection.source}=>{connection.sink} type={conn_type} "
+                f"name={connection.name!r} structural={connection.structural} "
+                f"synthesized={connection.synthesized}"
+            )
+        # One update of the same bytes as ``\x00 + part`` per part.
+        parts.insert(0, "tydi-impl-fingerprint-v1")
+        return hashlib.sha256("\x00".join(parts).encode()).hexdigest()
+
+    def _inner_tokens(self, name: str) -> tuple[str, str]:
+        tokens = self._inner.get(name)
+        if tokens is None:
+            inner_impl = self.project.implementation(name)
+            tokens = self._inner[name] = (
+                f"external={inner_impl.external} meta={self._metadata(inner_impl)} ",
+                self._streamlet(self.project.streamlet_of(inner_impl)),
+            )
+        return tokens
+
+    def _metadata(self, implementation: Implementation) -> str:
+        token = self._metadata_tokens.get(id(implementation))
+        if token is None:
+            token = self._metadata_tokens[id(implementation)] = _metadata_token(
+                implementation.metadata
+            )
+        return token
+
+    def _streamlet(self, streamlet: Streamlet) -> str:
+        token = self._streamlets.get(id(streamlet))
+        if token is None:
+            ports = ";".join(self._port(port) for port in streamlet.ports)
+            token = self._streamlets[id(streamlet)] = (
+                f"streamlet {streamlet.name} doc={streamlet.documentation!r} ports[{ports}]"
+            )
+        return token
+
+    def _port(self, port: Port) -> str:
+        attrs = ",".join(f"{key}={port.attributes[key]!r}" for key in sorted(port.attributes))
+        return (
+            f"{port.name}:{rendered_tydi(port.logical_type)}:{port.direction!s}"
+            f":{port.clock_domain.name}:{attrs}"
         )
-    for connection in implementation.connections:
-        conn_type = connection.logical_type.to_tydi() if connection.logical_type else "-"
-        parts.append(
-            f"conn {connection.source}=>{connection.sink} type={conn_type} "
-            f"name={connection.name!r} structural={connection.structural} "
-            f"synthesized={connection.synthesized}"
-        )
-    hasher = hashlib.sha256()
-    hasher.update(b"tydi-impl-fingerprint-v1")
-    for part in parts:
-        hasher.update(b"\x00")
-        hasher.update(part.encode())
-    return hasher.hexdigest()

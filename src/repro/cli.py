@@ -173,15 +173,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "drc, backends) and print the table to stderr when done; same "
         "switch as the TYDI_PROFILE_STAGES environment variable",
     )
-    perf.add_argument(
-        "--emit-jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="emit cold backend units across N worker processes (uses an "
-        "in-memory stage cache when no --cache-dir is configured; cache "
-        "hits and assembly stay in-process)",
-    )
     sim = parser.add_argument_group("simulation")
     sim.add_argument(
         "--simulate",
@@ -284,13 +275,6 @@ def _build_cache(args: argparse.Namespace):
         max_disk_bytes = int(args.max_cache_mb * 1024 * 1024)
     remote = getattr(args, "remote_cache", None)
     if not args.cache_dir and not remote:
-        # --emit-jobs fans the backend-unit tier out, which needs *some*
-        # stage cache; a memory-only one keeps the flag useful without
-        # forcing --cache-dir.
-        if getattr(args, "emit_jobs", None):
-            from repro.pipeline import CompilationCache
-
-            return CompilationCache()
         return None
     from repro.pipeline import CompilationCache
 
@@ -299,20 +283,6 @@ def _build_cache(args: argparse.Namespace):
         max_disk_bytes=max_disk_bytes,
         remote=remote,
     )
-
-
-def _apply_emit_jobs(workspace, args: argparse.Namespace) -> None:
-    """Point the session's stage cache at ``--emit-jobs`` worker processes.
-
-    A no-op without the flag; ``_build_cache`` guarantees a stage cache
-    exists whenever the flag is set.
-    """
-    jobs = getattr(args, "emit_jobs", None)
-    if not jobs:
-        return
-    stage_cache = getattr(workspace.cache, "stages", None) if workspace.cache else None
-    if stage_cache is not None:
-        stage_cache.emit_jobs = jobs
 
 
 def _load_sim_plan(args: argparse.Namespace):
@@ -364,7 +334,6 @@ def _run_batch(args: argparse.Namespace) -> int:
     # One workspace session per invocation; --watch keeps it alive below,
     # feeding edited sources through update_file and re-querying.
     workspace = Workspace(cache=_build_cache(args))
-    _apply_emit_jobs(workspace, args)
     cache = workspace.cache
 
     # An unreadable file is one failed *design*, not a reason to abort the
@@ -697,8 +666,6 @@ def main(argv: list[str] | None = None) -> int:
             build_arg_parser().error("at least one source file is required")
         if args.watch and args.json_output:
             raise _CliInputError("--watch cannot be combined with --json")
-        if args.emit_jobs is not None and args.emit_jobs < 1:
-            raise _CliInputError("--emit-jobs must be >= 1")
         if args.from_ir and not args.batch and len(args.sources) != 1:
             raise _CliInputError(
                 "--from-ir takes exactly one interchange document "
@@ -733,7 +700,6 @@ def _run_single(args: argparse.Namespace) -> int:
     backend_opts = _resolve_backend_options(args)
 
     workspace = Workspace(cache=_build_cache(args))
-    _apply_emit_jobs(workspace, args)
 
     # When target outputs stream to stdout (no --out-dir), the stage log
     # moves to stderr so e.g. `tydi-compile --target dot x.td | dot -Tsvg`

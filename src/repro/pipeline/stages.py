@@ -60,7 +60,6 @@ edits.
 from __future__ import annotations
 
 import hashlib
-import pickle
 import threading
 from dataclasses import dataclass
 from pathlib import Path
@@ -129,22 +128,10 @@ def file_fingerprint(text: str, filename: str) -> str:
     return hasher.hexdigest()
 
 
-#: Per-process state of the parallel-emit pool: the (project, backend) pair
-#: every task of one :meth:`StageCache.emit_backend` call shares, shipped
-#: once through the pool initializer instead of once per task.
-_EMIT_WORKER_STATE: dict[str, object] = {}
-
-
-def _emit_pool_init(payload: bytes) -> None:
-    project, backend = pickle.loads(payload)
-    _EMIT_WORKER_STATE["project"] = project
-    _EMIT_WORKER_STATE["backend"] = backend
-
-
-def _emit_one_unit(implementation_name: str) -> dict[str, str]:
-    project = _EMIT_WORKER_STATE["project"]
-    backend = _EMIT_WORKER_STATE["backend"]
-    return backend.emit_unit(project, project.implementations[implementation_name])
+def _unit_key(backend_hasher, implementation_key: str) -> str:
+    hasher = backend_hasher.copy()
+    hasher.update(implementation_key.encode())
+    return hasher.hexdigest()
 
 
 @dataclass
@@ -228,10 +215,7 @@ class StageCache:
         cache_dir: Optional[str | Path] = None,
         max_disk_bytes: Optional[int] = None,
         remote: Optional[object] = None,
-        emit_jobs: Optional[int] = None,
     ) -> None:
-        if emit_jobs is not None and emit_jobs < 1:
-            raise ValueError("emit_jobs must be >= 1")
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self.max_disk_bytes = max_disk_bytes
         if isinstance(remote, str):
@@ -239,11 +223,6 @@ class StageCache:
 
             remote = RemoteCacheClient.from_url(remote)
         self.remote = remote
-        #: Worker-process count for cold backend-unit emission in
-        #: :meth:`emit_backend` (``None`` / ``1``: serial).  An execution
-        #: policy, *not* part of any fingerprint: parallel and serial
-        #: emission produce byte-identical units.
-        self.emit_jobs = emit_jobs
         self.stats = StageStats()
         self._lock = threading.Lock()
         stage_dir = self.cache_dir / STAGE_DIR_NAME if self.cache_dir else None
@@ -345,6 +324,13 @@ class StageCache:
         name, its options token, and -- via the stage salt -- the
         ``STAGE_SCHEMA_VERSION`` and compiler version.
         """
+        return _unit_key(self._backend_hasher(backend), implementation_key)
+
+    def _backend_hasher(self, backend):
+        """The key hasher fed with everything but the implementation part.
+
+        Hashed once per :meth:`emit_backend` call and copied per unit.
+        """
         hasher = hashlib.sha256()
         hasher.update(_stage_salt().encode())
         hasher.update(b"\x00backend\x00")
@@ -352,8 +338,7 @@ class StageCache:
         hasher.update(b"\x00options\x00")
         hasher.update(backend.options.token().encode())
         hasher.update(b"\x00impl\x00")
-        hasher.update(implementation_key.encode())
-        return hasher.hexdigest()
+        return hasher
 
     # -- the staged pipeline --------------------------------------------------
 
@@ -367,21 +352,6 @@ class StageCache:
         return self._parse.fetch(
             file_fingerprint(text, filename), lambda: parse_source(text, filename)
         )
-
-    def cached_backend_unit(self, project, implementation, backend) -> dict[str, str]:
-        """One implementation's backend output, through the unit cache.
-
-        A hit serves the memoised ``{filename: text}`` mapping without
-        touching the backend; a miss calls ``backend.emit_unit`` and stores
-        the result in every tier.  Emission errors propagate unchanged and
-        are never cached.
-        """
-        from repro.backends import implementation_fingerprint
-
-        key = self.backend_unit_key(
-            backend, implementation_fingerprint(project, implementation)
-        )
-        return self._backend.fetch(key, lambda: backend.emit_unit(project, implementation))
 
     def cached_simulation(self, key: str, compute):
         """One plan-driven simulation report, through the ``sim:`` tier.
@@ -402,69 +372,27 @@ class StageCache:
         Byte-identical to ``backend.emit(project)`` (same assemble over the
         same units -- the composition law of :class:`repro.backends.base.
         Backend`), but every unchanged implementation's unit output is
-        served from the cache.  When :attr:`emit_jobs` is > 1, the *cold*
-        units are emitted across a process pool (backends are pure, so
-        per-unit emission is embarrassingly parallel); results are inserted
-        exactly as serial misses would have been, so the cache tiers and
-        stats read identically either way.
+        served from the cache; a miss calls ``backend.emit_unit`` and
+        stores the result in every tier.  Emission errors propagate
+        unchanged and are never cached.
 
         Disk stores defer their budget pass to the caller (the single
         per-compile pass in :meth:`compile`); standalone callers with a
         ``max_disk_bytes`` budget should call :meth:`enforce_disk_budget`
         after a burst of emissions.
         """
-        from repro.backends import implementation_fingerprint
+        from repro.backends.base import ProjectFingerprints
 
-        units: dict[str, Optional[dict[str, str]]] = {}
-        cold: list[tuple[str, str]] = []
-        for name, implementation in project.implementations.items():
-            key = self.backend_unit_key(
-                backend, implementation_fingerprint(project, implementation)
+        fingerprints = ProjectFingerprints(project)
+        hasher = self._backend_hasher(backend)
+        units = {
+            name: self._backend.fetch(
+                _unit_key(hasher, fingerprints.of(implementation)),
+                lambda: backend.emit_unit(project, implementation),
             )
-            files = self._backend.get(key)
-            if files is None:
-                cold.append((name, key))
-            units[name] = files
-        if cold:
-            names = [name for name, _ in cold]
-            jobs = self.emit_jobs
-            emitted = None
-            if jobs is not None and jobs > 1 and len(names) > 1:
-                emitted = self._emit_units_parallel(project, backend, names, jobs)
-            if emitted is None:
-                emitted = {
-                    name: backend.emit_unit(project, project.implementations[name])
-                    for name in names
-                }
-            for name, key in cold:
-                files = emitted[name]
-                self._backend.put(key, files)
-                units[name] = files
+            for name, implementation in project.implementations.items()
+        }
         return backend.assemble(project, backend.emit_shared(project), units)
-
-    def _emit_units_parallel(
-        self, project, backend, names: list[str], jobs: int
-    ) -> Optional[dict[str, dict[str, str]]]:
-        """Emit the named implementations' units across a process pool.
-
-        The (project, backend) pair is pickled once and shipped to each
-        worker through the pool initializer; tasks are just implementation
-        names.  Returns ``None`` when the project cannot be pickled (e.g.
-        simulation behaviours holding closures) -- the caller falls back to
-        serial emission.  Emission errors propagate unchanged.
-        """
-        from concurrent.futures import ProcessPoolExecutor
-
-        try:
-            payload = pickle.dumps((project, backend), protocol=pickle.HIGHEST_PROTOCOL)
-        except (pickle.PickleError, TypeError, AttributeError):
-            return None
-        workers = max(1, min(jobs, len(names)))
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_emit_pool_init, initargs=(payload,)
-        ) as pool:
-            emitted = list(pool.map(_emit_one_unit, names))
-        return dict(zip(names, emitted))
 
     def compile(
         self,

@@ -89,6 +89,23 @@ def intern_table_size() -> int:
     return len(_InternedTypeMeta._intern_table)
 
 
+#: ``id(type) -> (type, type.to_tydi())``.  Logical types are immutable, so
+#: a rendering never goes stale, and holding the type keeps its id from
+#: being reused while the entry lives.  Bounded like the intern table.
+_RENDERED_CAPACITY = 4096
+_rendered: dict[int, tuple["LogicalType", str]] = {}
+
+
+def rendered_tydi(logical_type: "LogicalType") -> str:
+    """``logical_type.to_tydi()``, rendered once per type object."""
+    held = _rendered.get(id(logical_type))
+    if held is None:
+        if len(_rendered) >= _RENDERED_CAPACITY:
+            _rendered.clear()
+        held = _rendered[id(logical_type)] = (logical_type, logical_type.to_tydi())
+    return held[1]
+
+
 class LogicalType(metaclass=_InternedTypeMeta):
     """Base class for all Tydi logical types."""
 
@@ -133,10 +150,10 @@ class LogicalType(metaclass=_InternedTypeMeta):
         return True
 
     def __str__(self) -> str:
-        return self.to_tydi()
+        return rendered_tydi(self)
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.to_tydi()})"
+        return f"{type(self).__name__}({rendered_tydi(self)})"
 
 
 @dataclass(frozen=True, repr=False)

@@ -21,7 +21,6 @@ output always elaborates.
 from __future__ import annotations
 
 from repro.ir.model import (
-    Connection,
     Implementation,
     Port,
     PortDirection,
@@ -29,9 +28,16 @@ from repro.ir.model import (
     Project,
     Streamlet,
 )
+from repro.spec.logical_types import rendered_tydi
 from repro.stdlib.components import primitive_kind
 from repro.utils.text import count_loc
-from repro.vhdl.signals import VhdlPortSignal, port_signals, vhdl_identifier
+from repro.vhdl.signals import (
+    Net,
+    VhdlPortSignal,
+    connection_nets,
+    port_signals,
+    vhdl_identifier,
+)
 
 _HEADER = """// Generated by the Tydi-lang reproduction toolchain.
 `default_nettype none
@@ -83,22 +89,6 @@ def emit_module_header(streamlet: Streamlet) -> str:
     lines.append(f"  {declarations[-1]}")
     lines.append(");")
     return "\n".join(lines)
-
-
-class _Net:
-    """Interconnect wires created for one connection."""
-
-    __slots__ = ("prefix", "signals")
-
-    def __init__(self, prefix: str) -> None:
-        self.prefix = prefix
-        self.signals: list[VhdlPortSignal] = []
-
-    def signal_for(self, origin: str) -> VhdlPortSignal | None:
-        for signal in self.signals:
-            if signal.origin == origin:
-                return signal
-        return None
 
 
 class VerilogBackend:
@@ -154,7 +144,7 @@ class VerilogBackend:
             for port in streamlet.ports:
                 lines.append(
                     f"// {streamlet.name}.{port.name} : "
-                    f"{port.logical_type.to_tydi()} ({port.direction})"
+                    f"{rendered_tydi(port.logical_type)} ({port.direction})"
                 )
         lines.append(_FOOTER.rstrip("\n"))
         return "\n".join(lines) + "\n"
@@ -193,36 +183,12 @@ class VerilogBackend:
 
     # -- structural body ----------------------------------------------------------
 
-    def _connection_nets(self, implementation: Implementation) -> list[tuple[Connection, _Net]]:
-        """One interconnect net (wire bundle) per connection."""
-        nets: list[tuple[Connection, _Net]] = []
-        for index, connection in enumerate(implementation.connections):
-            source_port = self.project.resolve_port(implementation, connection.source)
-            prefix = f"net_{index}_{verilog_identifier(str(connection.source)).lower()}"
-            net = _Net(prefix=prefix)
-            for signal in port_signals(source_port):
-                net.signals.append(
-                    VhdlPortSignal(
-                        name=f"{prefix}_{signal.origin}",
-                        width=signal.width,
-                        mode=signal.mode,
-                        origin=signal.origin,
-                        tydi_port=signal.tydi_port,
-                    )
-                )
-            nets.append((connection, net))
-        return nets
-
     def _structural_body(self, implementation: Implementation, streamlet: Streamlet) -> str:
-        nets = self._connection_nets(implementation)
-        endpoint_net: dict[str, _Net] = {}
-        for connection, net in nets:
-            endpoint_net[str(connection.source)] = net
-            endpoint_net[str(connection.sink)] = net
+        nets, endpoint_net = connection_nets(self.project, implementation)
 
         lines: list[str] = []
-        for _, net in nets:
-            for signal in net.signals:
+        for net in nets:
+            for signal in net.values():
                 lines.append(f"  wire {_range_suffix(signal.width)}{signal.name};")
         if nets:
             lines.append("")
@@ -243,7 +209,7 @@ class VerilogBackend:
 
         return "\n".join(lines) + "\n"
 
-    def _self_port_assigns(self, port: Port, net: _Net) -> list[str]:
+    def _self_port_assigns(self, port: Port, net: Net) -> list[str]:
         """Continuous assigns between a module port and its net.
 
         For an *input* port the forward signals flow from the module port
@@ -251,7 +217,7 @@ class VerilogBackend:
         """
         lines: list[str] = []
         for signal in port_signals(port):
-            net_signal = net.signal_for(signal.origin)
+            net_signal = net.get(signal.origin)
             if net_signal is None:
                 continue
             port_is_source = port.direction is PortDirection.IN
@@ -266,7 +232,7 @@ class VerilogBackend:
         self,
         implementation: Implementation,
         instance_name: str,
-        endpoint_net: dict[str, _Net],
+        endpoint_net: dict[str, Net],
     ) -> list[str]:
         project = self.project
         instance = implementation.instance(instance_name)
@@ -283,7 +249,7 @@ class VerilogBackend:
                     # Should not happen after the DRC; keep the output legal.
                     target = "" if signal.mode == "out" else _zero_literal(signal.width)
                 else:
-                    net_signal = net.signal_for(signal.origin)
+                    net_signal = net.get(signal.origin)
                     target = net_signal.name if net_signal is not None else ""
                 mappings.append(f"    .{signal.name}({target})")
         lines.extend(f"{m}," for m in mappings[:-1])

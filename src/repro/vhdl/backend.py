@@ -13,10 +13,7 @@ implementations become black-box stubs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.ir.model import (
-    Connection,
     Implementation,
     Port,
     PortDirection,
@@ -24,9 +21,17 @@ from repro.ir.model import (
     Project,
     Streamlet,
 )
+from repro.spec.logical_types import rendered_tydi
 from repro.stdlib.components import primitive_kind
 from repro.utils.text import count_loc
-from repro.vhdl.signals import VhdlPortSignal, port_signals, vhdl_identifier, vhdl_type
+from repro.vhdl.signals import (
+    Net,
+    VhdlPortSignal,
+    connection_nets,
+    port_signals,
+    vhdl_identifier,
+    vhdl_type,
+)
 
 _HEADER = """-- Generated by the Tydi-lang reproduction toolchain.
 library ieee;
@@ -68,20 +73,6 @@ def emit_component_declaration(streamlet: Streamlet) -> str:
     lines.append("    );")
     lines.append("  end component;")
     return "\n".join(lines)
-
-
-@dataclass
-class _Net:
-    """Interconnect signals created for one connection."""
-
-    prefix: str
-    signals: list[VhdlPortSignal] = field(default_factory=list)
-
-    def signal_for(self, origin: str) -> VhdlPortSignal | None:
-        for signal in self.signals:
-            if signal.origin == origin:
-                return signal
-        return None
 
 
 class VhdlBackend:
@@ -134,7 +125,7 @@ class VhdlBackend:
         for streamlet in self.project.streamlets.values():
             for port in streamlet.ports:
                 lines.append(
-                    f"  -- {streamlet.name}.{port.name} : {port.logical_type.to_tydi()} ({port.direction})"
+                    f"  -- {streamlet.name}.{port.name} : {rendered_tydi(port.logical_type)} ({port.direction})"
                 )
         lines.append(f"end package {vhdl_identifier(self.project.name)}_pkg;")
         return "\n".join(lines) + "\n"
@@ -171,29 +162,9 @@ class VhdlBackend:
     def _structural_architecture(self, implementation: Implementation, streamlet: Streamlet) -> str:
         project = self.project
 
-        # One interconnect net per connection.
-        nets: list[tuple[Connection, _Net]] = []
-        for index, connection in enumerate(implementation.connections):
-            source_port = project.resolve_port(implementation, connection.source)
-            prefix = f"net_{index}_{vhdl_identifier(str(connection.source)).lower()}"
-            net = _Net(prefix=prefix)
-            for signal in port_signals(source_port):
-                net.signals.append(
-                    VhdlPortSignal(
-                        name=f"{prefix}_{signal.origin}",
-                        width=signal.width,
-                        mode=signal.mode,
-                        origin=signal.origin,
-                        tydi_port=signal.tydi_port,
-                    )
-                )
-            nets.append((connection, net))
-
-        # Which net touches a given endpoint?
-        endpoint_net: dict[str, _Net] = {}
-        for connection, net in nets:
-            endpoint_net[str(connection.source)] = net
-            endpoint_net[str(connection.sink)] = net
+        # One interconnect net per connection, and which net touches a
+        # given endpoint.
+        nets, endpoint_net = connection_nets(project, implementation)
 
         # Component declarations (one per distinct inner streamlet).
         inner_streamlets: dict[str, Streamlet] = {}
@@ -206,8 +177,8 @@ class VhdlBackend:
         for inner in inner_streamlets.values():
             declaration_lines.append(emit_component_declaration(inner))
             declaration_lines.append("")
-        for _, net in nets:
-            for signal in net.signals:
+        for net in nets:
+            for signal in net.values():
                 declaration_lines.append(f"  signal {signal.name} : {vhdl_type(signal.width)};")
 
         body_lines: list[str] = []
@@ -223,7 +194,7 @@ class VhdlBackend:
 
         # Instantiate the inner components.
         for instance in implementation.instances:
-            body_lines.extend(self._instance_port_map(implementation, instance.name))
+            body_lines.extend(self._instance_port_map(implementation, instance.name, endpoint_net))
             body_lines.append("")
 
         declarations = "\n".join(declaration_lines)
@@ -236,7 +207,7 @@ class VhdlBackend:
             f"end architecture structural;\n"
         )
 
-    def _self_port_assignments(self, port: Port, net: _Net) -> list[str]:
+    def _self_port_assignments(self, port: Port, net: Net) -> list[str]:
         """Continuous assignments between an entity port and its net.
 
         For an *input* port of the implementation the forward signals flow
@@ -245,7 +216,7 @@ class VhdlBackend:
         """
         lines: list[str] = []
         for signal in port_signals(port):
-            net_signal = net.signal_for(signal.origin)
+            net_signal = net.get(signal.origin)
             if net_signal is None:
                 continue
             port_is_source = port.direction is PortDirection.IN
@@ -256,30 +227,13 @@ class VhdlBackend:
                 lines.append(f"{signal.name} <= {net_signal.name};")
         return lines
 
-    def _instance_port_map(self, implementation: Implementation, instance_name: str) -> list[str]:
+    def _instance_port_map(
+        self, implementation: Implementation, instance_name: str, endpoint_net: dict[str, Net]
+    ) -> list[str]:
         project = self.project
         instance = implementation.instance(instance_name)
         inner_impl = project.implementation(instance.implementation)
         inner_streamlet = project.streamlet_of(inner_impl)
-
-        # Recompute the endpoint->net map lazily (cheap relative to emission).
-        endpoint_net: dict[str, _Net] = {}
-        for index, connection in enumerate(implementation.connections):
-            source_port = project.resolve_port(implementation, connection.source)
-            prefix = f"net_{index}_{vhdl_identifier(str(connection.source)).lower()}"
-            net = _Net(prefix=prefix)
-            for signal in port_signals(source_port):
-                net.signals.append(
-                    VhdlPortSignal(
-                        name=f"{prefix}_{signal.origin}",
-                        width=signal.width,
-                        mode=signal.mode,
-                        origin=signal.origin,
-                        tydi_port=signal.tydi_port,
-                    )
-                )
-            endpoint_net[str(connection.source)] = net
-            endpoint_net[str(connection.sink)] = net
 
         lines = [f"{instance_name} : {inner_streamlet.name}", "  port map ("]
         mappings = ["    clk => clk", "    rst => rst"]
@@ -293,7 +247,7 @@ class VhdlBackend:
                         "'0'" if signal.width <= 1 else "(others => '0')"
                     )
                 else:
-                    net_signal = net.signal_for(signal.origin)
+                    net_signal = net.get(signal.origin)
                     target = net_signal.name if net_signal is not None else "open"
                 mappings.append(f"    {signal.name} => {target}")
         lines.extend(f"{m}," for m in mappings[:-1])

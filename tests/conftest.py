@@ -57,3 +57,53 @@ def compiled_queries():
     from repro.queries import ALL_QUERIES
 
     return {query.name: query.compile() for query in ALL_QUERIES}
+
+
+def _chain_source(width: int) -> str:
+    """One ``for``-expanded serial chain of ``width`` instances."""
+    return f"""
+type link_t = Stream(Bit(8), d=1);
+streamlet step_s {{ i: link_t in, o: link_t out, }}
+external impl step_i of step_s;
+streamlet chain_s {{ feed: link_t in, result: link_t out, }}
+impl chain_i of chain_s {{
+    instance pu(step_i) [{width}],
+    feed => pu[0].i,
+    for i in 0->{width - 1} {{
+        pu[i].o => pu[i+1].i,
+    }}
+    pu[{width - 1}].o => result,
+}}
+top chain_i;
+"""
+
+
+@pytest.fixture
+def resolve_port_calls(monkeypatch):
+    """``count(backend, width)``: how many ``Project.resolve_port`` calls one
+    backend's emission of a ``width``-instance chain makes.
+
+    A deterministic stand-in for emission cost: linear emission resolves
+    each connection a constant number of times, so the count grows with
+    the width, not with its square.
+    """
+    from repro.backends import get_backend
+    from repro.ir.model import Project
+    from repro.lang.compile import compile_sources
+
+    def count(backend: str, width: int) -> int:
+        project = compile_sources([(_chain_source(width), "chain.td")], include_stdlib=False).project
+        calls = 0
+        original = Project.resolve_port
+
+        def counting(self, implementation, ref):
+            nonlocal calls
+            calls += 1
+            return original(self, implementation, ref)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Project, "resolve_port", counting)
+            get_backend(backend).emit(project)
+        return calls
+
+    return count

@@ -189,3 +189,29 @@ def test_corrupt_remote_artefact_is_a_counted_miss(warm, tmp_path, namespace, bl
     for artefacts in _disk_artefacts(cache_dir).values():
         for payload in artefacts.values():
             pickle.loads(payload)
+
+
+#: Backend unit keys of the TPC-H Q1 top implementation, as released stores
+#: hold them.  A change here orphans every cached unit in existing
+#: ``.tydi-cache/`` directories and remote stores.
+Q1_TOP_UNIT_KEYS = {
+    "vhdl": "cd8c9112df288290b607f54b1d24d98c2cb12e4cd47f5c08dad51e318d5b776c",
+    "verilog": "72cc00171ba852f20ab03d31eb4ff9e9cc715bf1708659d944a5ecdb33abb4da",
+}
+
+
+@pytest.mark.parametrize("backend", sorted(Q1_TOP_UNIT_KEYS))
+def test_tpch_backend_unit_key_is_pinned(compiled_queries, tmp_path, backend):
+    from repro.backends import get_backend, implementation_fingerprint
+    from repro.pipeline import StageCache
+
+    project = compiled_queries["q1"].project
+    top = project.implementations[project.top]
+    cache = StageCache(cache_dir=tmp_path)
+    key = Q1_TOP_UNIT_KEYS[backend]
+    assert cache.backend_unit_key(get_backend(backend), implementation_fingerprint(project, top)) == key
+    # emit_backend keys every unit the same way, so the top's unit lands
+    # under the pinned name.
+    cache.emit_backend(project, get_backend(backend))
+    assert (tmp_path / "stages" / f"backend-{key}.pkl").is_file()
+    assert len(list((tmp_path / "stages").glob("backend-*.pkl"))) == len(project.implementations)

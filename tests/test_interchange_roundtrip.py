@@ -168,18 +168,6 @@ def test_stage_cache_compile_ir_matches_uncached_and_memoises(tmp_path):
     assert fresh.stats_snapshot()["ingest_hits"] == 1
 
 
-def test_stage_cache_parallel_emit_matches_serial(tmp_path):
-    from repro.pipeline import StageCache
-
-    project = _fuzzed_project(4)
-    document = emit_document(project)
-    options = {"targets": ("verilog",)}
-    serial = StageCache(cache_dir=tmp_path / "serial").compile_ir(document, options)
-    parallel_cache = StageCache(cache_dir=tmp_path / "parallel", emit_jobs=4)
-    parallel = parallel_cache.compile_ir(document, options)
-    assert parallel.outputs == serial.outputs
-
-
 # -- the workspace frontend ----------------------------------------------------
 
 

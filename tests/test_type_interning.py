@@ -12,6 +12,7 @@ import pickle
 
 import pytest
 
+from repro.spec import logical_types
 from repro.spec.compat import strictly_equal, structurally_equal
 from repro.spec.logical_types import (
     Bit,
@@ -22,6 +23,7 @@ from repro.spec.logical_types import (
     _InternedTypeMeta,
     clear_intern_table,
     intern_table_size,
+    rendered_tydi,
 )
 
 
@@ -118,6 +120,31 @@ class TestTableManagement:
         assert intern_table_size() > 0
         clear_intern_table()
         assert intern_table_size() == 0
+
+
+class TestRenderedTydi:
+    """``rendered_tydi`` memoises ``to_tydi()`` per type object."""
+
+    def test_matches_to_tydi_and_repr_is_unchanged(self):
+        anonymous = Stream(Group.of(None, x=Bit(8), y=Bit(4)), dimension=2)
+        for logical_type in (Bit(8), Null(), anonymous, Union.of("u", a=Bit(2), b=Bit(3))):
+            assert rendered_tydi(logical_type) == logical_type.to_tydi()
+            assert str(logical_type) == logical_type.to_tydi()
+            assert repr(logical_type) == f"{type(logical_type).__name__}({logical_type.to_tydi()})"
+
+    def test_table_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(logical_types, "_RENDERED_CAPACITY", 4)
+        logical_types._rendered.clear()
+        for width in range(1, 10):
+            assert rendered_tydi(Bit(width)) == f"Bit({width})"
+        assert len(logical_types._rendered) <= 4
+
+    def test_memo_stays_out_of_pickles(self):
+        logical_type = Stream(Group.of(None, x=Bit(8)), dimension=1)
+        before = pickle.dumps(logical_type)
+        rendered_tydi(logical_type)
+        repr(logical_type)
+        assert pickle.dumps(logical_type) == before
 
 
 class TestPickle:

@@ -125,3 +125,13 @@ class TestRegistryIntegration:
             assert any(filename.endswith(".v") for filename in files), name
             for text in files.values():
                 assert text.count("\nmodule ") == text.count("\nendmodule"), name
+
+
+class TestLinearEmission:
+    def test_port_resolution_grows_linearly_with_chain_width(self, resolve_port_calls):
+        """Four times the instances must cost about four times the port
+        resolutions, as for the VHDL backend."""
+        narrow = resolve_port_calls("verilog", 20)
+        wide = resolve_port_calls("verilog", 80)
+        assert narrow > 0
+        assert wide / narrow <= 4.5

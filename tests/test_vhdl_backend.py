@@ -148,3 +148,13 @@ class TestDeterministicOrdering:
         assert list(VhdlBackend(project).generate().items()) == list(
             generate_vhdl(project).items()
         )
+
+
+class TestLinearEmission:
+    def test_port_resolution_grows_linearly_with_chain_width(self, resolve_port_calls):
+        """Four times the instances must cost about four times the port
+        resolutions (an endpoint map rebuilt per instance made it ~16x)."""
+        narrow = resolve_port_calls("vhdl", 20)
+        wide = resolve_port_calls("vhdl", 80)
+        assert narrow > 0
+        assert wide / narrow <= 4.5
