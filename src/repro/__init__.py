@@ -42,12 +42,9 @@ services, watch loops; see ``docs/workspace.md``)::
     print(ws.ir("my_design"))          # recompiles only what changed
 """
 
-from repro.lang.compile import (
-    CompilationResult,
-    CompileOptions,
-    compile_project,
-    compile_sources,
-)
+import importlib
+import sys
+from typing import Callable, Mapping
 
 __version__ = "1.1.0"
 
@@ -61,11 +58,54 @@ __all__ = [
 ]
 
 
-def __getattr__(name: str):
-    # Lazy: ``repro.Workspace`` pulls in the pipeline + backends packages,
-    # which plain ``import repro`` users should not pay for.
-    if name == "Workspace":
-        from repro.workspace import Workspace
+def lazy_exports(
+    package: str, exports: Mapping[str, tuple[str, ...]]
+) -> tuple[Callable[[str], object], Callable[[], list[str]]]:
+    """PEP 562 ``__getattr__``/``__dir__`` hooks that re-export lazily.
 
-        return Workspace
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    ``exports`` maps a submodule's full name to the names the package
+    re-exports from it.  A name's submodule is imported on first access
+    (``from package import name`` included) and the value is then bound
+    on the package, so later lookups are plain attribute reads.  Any other
+    public attribute is tried as a submodule, which keeps
+    ``package.submodule`` working without an explicit import, as it did
+    when the package imported its submodules eagerly.
+
+    This is what lets e.g. ``import repro.cli`` or a whole-result cache hit
+    run without loading the parser, the evaluator or the emitters.
+    """
+    owners = {name: module for module, names in exports.items() for name in names}
+
+    def __getattr__(name: str) -> object:
+        owner = owners.get(name)
+        if owner is not None:
+            value = getattr(importlib.import_module(owner), name)
+            setattr(sys.modules[package], name, value)
+            return value
+        if not name.startswith("__"):
+            submodule = f"{package}.{name}"
+            try:
+                return importlib.import_module(submodule)
+            except ModuleNotFoundError as exc:
+                if exc.name != submodule:
+                    raise
+        raise AttributeError(f"module {package!r} has no attribute {name!r}")
+
+    def __dir__() -> list[str]:
+        return sorted(set(vars(sys.modules[package])) | set(owners))
+
+    return __getattr__, __dir__
+
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.lang.compile": (
+            "CompilationResult",
+            "CompileOptions",
+            "compile_project",
+            "compile_sources",
+        ),
+        "repro.workspace": ("Workspace",),
+    },
+)

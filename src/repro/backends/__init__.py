@@ -15,7 +15,8 @@ that boundary pluggable:
 * Built-ins: ``vhdl`` (:mod:`repro.backends.vhdl`), ``verilog``
   (:mod:`repro.backends.verilog`), ``ir`` (:mod:`repro.backends.ir_text`),
   ``tydi-ir`` (:mod:`repro.backends.tydi_ir`) and ``dot``
-  (:mod:`repro.backends.dot`).
+  (:mod:`repro.backends.dot`).  Each registers itself when its module is
+  imported, which the registry does on the first lookup of its name.
 
 The compile pipeline threads targets through every layer: ``compile_sources
 (..., targets=("vhdl", "dot"))`` runs a backend stage whose
@@ -25,29 +26,7 @@ incremental drivers, and the CLI exposes ``--target`` / ``--list-backends``.
 See ``docs/backends.md``.
 """
 
-from repro.backends.base import Backend, BackendOptions, implementation_fingerprint
-from repro.backends.options import (
-    coerce_option_value,
-    option_schema,
-    options_for_backend,
-    parse_backend_opt_specs,
-)
-from repro.backends.registry import (
-    ENTRY_POINT_GROUP,
-    available_backends,
-    backend_class,
-    get_backend,
-    iter_backends,
-    register_backend,
-    unregister_backend,
-)
-
-# Importing the built-in modules registers them.
-from repro.backends.dot import DotBackend, DotBackendOptions
-from repro.backends.ir_text import IrTextBackend, IrTextBackendOptions
-from repro.backends.tydi_ir import TydiIrBackend, TydiIrBackendOptions
-from repro.backends.verilog import VerilogBackendOptions, VerilogFilesBackend
-from repro.backends.vhdl import VhdlBackendOptions, VhdlFilesBackend
+from repro import lazy_exports
 
 __all__ = [
     "Backend",
@@ -75,3 +54,30 @@ __all__ = [
     "register_backend",
     "unregister_backend",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.backends.base": ("Backend", "BackendOptions", "implementation_fingerprint"),
+        "repro.backends.options": (
+            "coerce_option_value",
+            "option_schema",
+            "options_for_backend",
+            "parse_backend_opt_specs",
+        ),
+        "repro.backends.registry": (
+            "ENTRY_POINT_GROUP",
+            "available_backends",
+            "backend_class",
+            "get_backend",
+            "iter_backends",
+            "register_backend",
+            "unregister_backend",
+        ),
+        "repro.backends.dot": ("DotBackend", "DotBackendOptions"),
+        "repro.backends.ir_text": ("IrTextBackend", "IrTextBackendOptions"),
+        "repro.backends.tydi_ir": ("TydiIrBackend", "TydiIrBackendOptions"),
+        "repro.backends.verilog": ("VerilogBackendOptions", "VerilogFilesBackend"),
+        "repro.backends.vhdl": ("VhdlBackendOptions", "VhdlFilesBackend"),
+    },
+)

@@ -1,9 +1,11 @@
 """Backend registry: name -> :class:`~repro.backends.base.Backend` lookup.
 
 Built-in backends register themselves at import time through
-:func:`register_backend`; third-party packages can join the registry
-without touching this repository by declaring an entry point in the
-``repro.backends`` group::
+:func:`register_backend`; the registry imports a built-in's module on the
+first lookup of its name (:data:`BUILTIN_BACKENDS`), so validating
+``--target vhdl`` loads the ``vhdl`` wrapper and no other backend.
+Third-party packages can join the registry without touching this
+repository by declaring an entry point in the ``repro.backends`` group::
 
     [project.entry-points."repro.backends"]
     systemc = "my_pkg.systemc:SystemCBackend"
@@ -17,6 +19,7 @@ backends, which is also what the CLI prints for an unknown ``--target``.
 
 from __future__ import annotations
 
+import importlib
 from typing import Iterator, Optional
 
 from repro.backends.base import Backend, BackendOptions
@@ -25,8 +28,24 @@ from repro.errors import TydiBackendError
 #: Entry-point group third-party backends register under.
 ENTRY_POINT_GROUP = "repro.backends"
 
+#: Built-in backend name -> the module whose import registers it.
+BUILTIN_BACKENDS = {
+    "dot": "repro.backends.dot",
+    "ir": "repro.backends.ir_text",
+    "tydi-ir": "repro.backends.tydi_ir",
+    "verilog": "repro.backends.verilog",
+    "vhdl": "repro.backends.vhdl",
+}
+
 _REGISTRY: dict[str, type[Backend]] = {}
 _ENTRY_POINTS_LOADED = False
+
+
+def _load_builtin(name: str) -> None:
+    """Import the built-in backend ``name`` (registering it), if any."""
+    module = BUILTIN_BACKENDS.get(name)
+    if module is not None and name not in _REGISTRY:
+        importlib.import_module(module)
 
 
 def register_backend(backend_class: type[Backend]) -> type[Backend]:
@@ -39,6 +58,9 @@ def register_backend(backend_class: type[Backend]) -> type[Backend]:
     name = backend_class.name
     if not name:
         raise TydiBackendError(f"backend class {backend_class.__name__} has no name")
+    if backend_class.__module__ != BUILTIN_BACKENDS.get(name):
+        # A built-in name is taken before its module is first imported.
+        _load_builtin(name)
     existing = _REGISTRY.get(name)
     if existing is not None and existing is not backend_class:
         raise TydiBackendError(
@@ -82,6 +104,9 @@ def backend_class(name: str) -> type[Backend]:
     """The registered backend class for ``name``."""
     cls = _REGISTRY.get(name)
     if cls is None:
+        _load_builtin(name)
+        cls = _REGISTRY.get(name)
+    if cls is None:
         _load_entry_points()
         cls = _REGISTRY.get(name)
     if cls is None:
@@ -97,6 +122,8 @@ def get_backend(name: str, options: Optional[BackendOptions] = None) -> Backend:
 
 def available_backends() -> list[str]:
     """Sorted names of every registered backend (entry points included)."""
+    for name in BUILTIN_BACKENDS:
+        _load_builtin(name)
     _load_entry_points()
     return sorted(_REGISTRY)
 

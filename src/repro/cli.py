@@ -285,6 +285,22 @@ def _build_cache(args: argparse.Namespace):
     )
 
 
+def _finish_uploads(cache) -> None:
+    """Drain the remote tier's write-behind queue, then hang up.
+
+    The uploads ride a daemon thread, so a one-shot compile that exits
+    without this loses whatever is still queued -- typically the
+    whole-result entry, which is stored last.  ``flush`` waits within its
+    own bound (a down endpoint drops its queue, so it returns at once);
+    ``close`` is idempotent, so both the ``--json`` report and the exit
+    path may call this.
+    """
+    remote = getattr(cache, "remote", None)
+    if remote is not None:
+        remote.flush()
+        remote.close()
+
+
 def _load_sim_plan(args: argparse.Namespace):
     """The :class:`~repro.sim.harness.SimulationPlan` of ``--sim-plan``.
 
@@ -324,7 +340,7 @@ def _design_options(args: argparse.Namespace, name: str, targets, backend_opts):
     )
 
 
-def _run_batch(args: argparse.Namespace) -> int:
+def _run_batch(args: argparse.Namespace, cache) -> int:
     from repro.pipeline import CompileJob, JobResult
     from repro.workspace import Workspace
 
@@ -333,8 +349,7 @@ def _run_batch(args: argparse.Namespace) -> int:
 
     # One workspace session per invocation; --watch keeps it alive below,
     # feeding edited sources through update_file and re-querying.
-    workspace = Workspace(cache=_build_cache(args))
-    cache = workspace.cache
+    workspace = Workspace(cache=cache)
 
     # An unreadable file is one failed *design*, not a reason to abort the
     # batch -- mirroring the engine's per-design compile-error isolation.
@@ -378,13 +393,12 @@ def _run_batch(args: argparse.Namespace) -> int:
         outcome.results.insert(position, unreadable[position])
 
     if args.json_output:
+        _finish_uploads(cache)
         payload = {
             "designs": [entry.as_dict() for entry in outcome.results],
             "batch": outcome.stats(),
             "cache": cache.stats_snapshot() if cache is not None else None,
-            "stage_cache": cache.stages.stats_snapshot()
-            if cache is not None and cache.stages is not None
-            else None,
+            "stage_cache": cache.stage_stats_snapshot() if cache is not None else None,
         }
         print(json.dumps(payload, indent=2))
     else:
@@ -556,12 +570,12 @@ def _resolve_backend_options(args: argparse.Namespace) -> tuple[tuple[str, objec
     and un-coercible values all fail here with a clean one-line error, not
     deep inside the emit stage.
     """
+    if not args.backend_opts:
+        return ()
     from repro.backends import parse_backend_opt_specs
     from repro.errors import TydiError
     from repro.lang.compile import normalize_backend_options
 
-    if not args.backend_opts:
-        return ()
     try:
         return normalize_backend_options(parse_backend_opt_specs(args.backend_opts))
     except TydiError as exc:
@@ -679,9 +693,11 @@ def main(argv: list[str] | None = None) -> int:
             from repro.profiling import enable_profiling
 
             enable_profiling()
+        cache = _build_cache(args)
         try:
-            return _run_batch(args) if args.batch else _run_single(args)
+            return _run_batch(args, cache) if args.batch else _run_single(args, cache)
         finally:
+            _finish_uploads(cache)
             if args.profile_stages:
                 from repro.profiling import format_profile
 
@@ -691,7 +707,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
-def _run_single(args: argparse.Namespace) -> int:
+def _run_single(args: argparse.Namespace, cache) -> int:
     from repro.errors import TydiError
     from repro.workspace import Workspace
 
@@ -699,7 +715,7 @@ def _run_single(args: argparse.Namespace) -> int:
     targets = _resolve_targets(args)
     backend_opts = _resolve_backend_options(args)
 
-    workspace = Workspace(cache=_build_cache(args))
+    workspace = Workspace(cache=cache)
 
     # When target outputs stream to stdout (no --out-dir), the stage log
     # moves to stderr so e.g. `tydi-compile --target dot x.td | dot -Tsvg`
@@ -768,14 +784,13 @@ def _query_and_emit_single(args, workspace, targets, log_stream) -> int:
             return 1
 
     if args.json_output:
+        _finish_uploads(cache)
         payload = {
             "stages": [{"name": s.name, "detail": s.detail} for s in result.stages],
             "statistics": result.project.statistics(),
             "outputs": {target: sorted(files) for target, files in result.outputs.items()},
             "cache": cache.stats_snapshot() if cache is not None else None,
-            "stage_cache": cache.stages.stats_snapshot()
-            if cache is not None and cache.stages is not None
-            else None,
+            "stage_cache": cache.stage_stats_snapshot() if cache is not None else None,
         }
         if sim_report is not None:
             payload["simulation"] = sim_report.as_dict()

@@ -29,7 +29,6 @@ messages can point at the offending location in the Tydi-lang source text.
 
 from __future__ import annotations
 
-import difflib
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -41,6 +40,8 @@ def did_you_mean(name: str, known: Sequence[str]) -> str:
     format shared by option validation across the toolchain (compile
     options, backend options).
     """
+    import difflib
+
     close = difflib.get_close_matches(name, list(known), n=1)
     return f" (did you mean {close[0]!r}?)" if close else ""
 

@@ -17,19 +17,7 @@ The IR mirrors the hardware elements of Table I in the paper:
 simulator generates.
 """
 
-from repro.ir.model import (
-    ClockDomain,
-    Connection,
-    Implementation,
-    Instance,
-    Port,
-    PortDirection,
-    PortRef,
-    Project,
-    Streamlet,
-)
-from repro.ir.emit import emit_project, emit_streamlet, emit_implementation
-from repro.ir.testbench import Testbench, TestbenchEvent, TestbenchVector
+from repro import lazy_exports
 
 __all__ = [
     "ClockDomain",
@@ -48,3 +36,22 @@ __all__ = [
     "TestbenchEvent",
     "TestbenchVector",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.ir.model": (
+            "ClockDomain",
+            "Connection",
+            "Implementation",
+            "Instance",
+            "Port",
+            "PortDirection",
+            "PortRef",
+            "Project",
+            "Streamlet",
+        ),
+        "repro.ir.emit": ("emit_project", "emit_streamlet", "emit_implementation"),
+        "repro.ir.testbench": ("Testbench", "TestbenchEvent", "TestbenchVector"),
+    },
+)

@@ -10,14 +10,7 @@ runs the full frontend pipeline of Figure 3 in the paper:
         -> Tydi-IR (:class:`repro.ir.Project`)
 """
 
-from repro.lang.compile import (
-    CompilationResult,
-    CompileOptions,
-    compile_project,
-    compile_sources,
-)
-from repro.lang.parser import parse_source
-from repro.lang.lexer import tokenize
+from repro import lazy_exports
 
 __all__ = [
     "CompilationResult",
@@ -27,3 +20,17 @@ __all__ = [
     "parse_source",
     "tokenize",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.lang.compile": (
+            "CompilationResult",
+            "CompileOptions",
+            "compile_project",
+            "compile_sources",
+        ),
+        "repro.lang.parser": ("parse_source",),
+        "repro.lang.lexer": ("tokenize",),
+    },
+)

@@ -38,18 +38,20 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Mapping, Optional, Protocol, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Optional, Protocol, Sequence
 
 from repro.errors import DiagnosticSink, TydiInputError, did_you_mean
-from repro.ir.emit import emit_project
-from repro.ir.model import Project
-from repro.lang.ast import SourceUnit
 from repro.lang.drc import DRCReport, check_project
-from repro.lang.evaluate import Evaluator, Program
-from repro.lang.parser import parse_source
 from repro.lang.sugaring import SugaringReport, apply_sugaring
 from repro.profiling import PROFILER
 from repro.stdlib.source import STDLIB_SOURCE
+
+# The parser, the evaluator and the IR text emitter are imported where they
+# run: a whole-result cache hit unpickles a finished CompilationResult and
+# never needs them.
+if TYPE_CHECKING:  # pragma: no cover - types only
+    from repro.ir.model import Project
+    from repro.lang.ast import SourceUnit
 
 
 def normalize_sources(
@@ -325,6 +327,8 @@ def _parsed_stdlib(source_text: str) -> SourceUnit:
         unit = load_stdlib_unit()
         if unit is not None:
             return unit
+    from repro.lang.parser import parse_source
+
     return parse_source(source_text, "std.td")
 
 
@@ -354,6 +358,8 @@ class CompilationResult:
 
     def ir_text(self) -> str:
         """The textual Tydi-IR of the compiled project."""
+        from repro.ir.emit import emit_project
+
         return emit_project(self.project)
 
     def output_files(self, target: str) -> dict[str, str]:
@@ -383,16 +389,21 @@ def parse_stage(
     normalized: Sequence[tuple[str, str]],
     *,
     include_stdlib: bool = True,
-    parse_file: Callable[[str, str], SourceUnit] = parse_source,
+    parse_file: Optional[Callable[[str, str], SourceUnit]] = None,
 ) -> tuple[list[SourceUnit], CompilationStage]:
     """Stage 1: parse every source file (stdlib first) into ASTs.
 
-    ``parse_file`` is the per-file parser; the staged pipeline passes a
+    ``parse_file`` is the per-file parser (default
+    :func:`repro.lang.parser.parse_source`); the staged pipeline passes a
     memoising wrapper (:meth:`repro.pipeline.stages.StageCache.cached_parse`)
     so unchanged files skip lexing and parsing entirely.  Returned units are
     treated as immutable by all later stages (evaluation only reads
     declarations), which is what makes sharing cached ASTs safe.
     """
+    if parse_file is None:
+        from repro.lang.parser import parse_source
+
+        parse_file = parse_source
     units: list[SourceUnit] = []
     with PROFILER.stage("parse"):
         if include_stdlib:
@@ -414,6 +425,8 @@ def evaluate_stage(
     project_name: str = "design",
 ) -> tuple[Project, CompilationStage]:
     """Stage 2: evaluation / expansion ("code expansion & evaluation")."""
+    from repro.lang.evaluate import Evaluator, Program
+
     with PROFILER.stage("evaluate"):
         program = Program.from_units(list(units))
         evaluator = Evaluator(program, diagnostics, project_name=project_name)

@@ -28,23 +28,12 @@ See ``docs/pipeline.md`` for the architecture and cache layout, and
 ``docs/workspace.md`` for the session API on top.
 """
 
-from repro.pipeline.batch import (
-    BatchCompilationError,
-    BatchResult,
-    CompileJob,
-    JobResult,
-    run_jobs,
-)
-from repro.pipeline.cache import (
-    CacheStats,
-    CompilationCache,
-    DEFAULT_CACHE_DIR,
-    STAGE_SCHEMA_VERSION,
-    fingerprint_sources,
-    normalize_sources,
-)
-from repro.pipeline.remote import DEFAULT_CACHE_PORT, RemoteCacheClient, parse_endpoint
-from repro.pipeline.stages import StageCache, StageStats, file_fingerprint
+from repro import lazy_exports
+
+#: The executor kinds :func:`~repro.pipeline.batch.run_jobs` accepts.  Kept
+#: here so :class:`~repro.workspace.Workspace` can validate its default
+#: executor without importing the batch engine.
+EXECUTORS = ("serial", "thread", "process")
 
 __all__ = [
     "BatchCompilationError",
@@ -65,3 +54,28 @@ __all__ = [
     "parse_endpoint",
     "run_jobs",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.pipeline.batch": (
+            "BatchCompilationError",
+            "BatchResult",
+            "CompileJob",
+            "JobResult",
+            "run_jobs",
+        ),
+        "repro.pipeline.cache": (
+            "CacheStats",
+            "CompilationCache",
+            "DEFAULT_CACHE_DIR",
+            "STAGE_SCHEMA_VERSION",
+            "StageStats",
+            "file_fingerprint",
+            "fingerprint_sources",
+            "normalize_sources",
+        ),
+        "repro.pipeline.remote": ("DEFAULT_CACHE_PORT", "RemoteCacheClient", "parse_endpoint"),
+        "repro.pipeline.stages": ("StageCache",),
+    },
+)

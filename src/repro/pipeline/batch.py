@@ -32,16 +32,14 @@ from __future__ import annotations
 import os
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Optional, Sequence
 
+from repro.pipeline import EXECUTORS
 from repro.pipeline.cache import CompilationCache
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.lang.compile import CompilationResult, CompileOptions
-
-EXECUTORS = ("serial", "thread", "process")
 
 
 @dataclass(frozen=True)
@@ -325,10 +323,14 @@ def run_jobs(
         results = [_execute_job(job, cache) for job in jobs]
         executor_name = "serial"
     elif executor == "thread":
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(lambda job: _execute_job(job, cache), jobs))
         executor_name = "thread"
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         cache_dir = (
             str(cache.cache_dir)
             if cache is not None and getattr(cache, "cache_dir", None) is not None

@@ -156,6 +156,35 @@ def fingerprint_sources(
     return hasher.hexdigest()
 
 
+#: Subdirectory of the cache dir holding per-stage artefacts.
+STAGE_DIR_NAME = "stages"
+
+
+def stage_salt() -> str:
+    """The salt every per-stage key starts with (format, schema, compiler)."""
+    import repro
+
+    return f"tydi-stage-v{CACHE_VERSION}.{STAGE_SCHEMA_VERSION}:compiler-{repro.__version__}"
+
+
+def file_fingerprint(text: str, filename: str) -> str:
+    """Stable content address of one source file (text + diagnostic name).
+
+    The key of the per-file parse tier, and what a
+    :class:`~repro.workspace.Workspace` diffs to find the files an edit
+    changed.  The filename participates because it is embedded in spans,
+    diagnostics and stage logs: the same text under a different name is a
+    different parse artefact.
+    """
+    hasher = hashlib.sha256()
+    hasher.update(stage_salt().encode())
+    hasher.update(b"\x00file\x00")
+    hasher.update(filename.encode())
+    hasher.update(b"\x00")
+    hasher.update(text.encode())
+    return hasher.hexdigest()
+
+
 def atomic_write_bytes(path: Path, data: bytes) -> None:
     """Write ``data`` to ``path`` via write-to-temp-then-rename.
 
@@ -463,6 +492,54 @@ class CacheTier:
 
 
 @dataclass
+class StageStats:
+    """Counters describing how a :class:`~repro.pipeline.stages.StageCache`
+    has been used."""
+
+    parse_hits: int = 0
+    parse_misses: int = 0
+    evaluate_hits: int = 0
+    evaluate_misses: int = 0
+    ingest_hits: int = 0
+    ingest_misses: int = 0
+    backend_hits: int = 0
+    backend_misses: int = 0
+    sim_hits: int = 0
+    sim_misses: int = 0
+    disk_hits: int = 0
+    disk_stores: int = 0
+    disk_errors: int = 0
+    disk_evictions: int = 0
+
+    def as_dict(self) -> dict[str, int]:
+        return {
+            "parse_hits": self.parse_hits,
+            "parse_misses": self.parse_misses,
+            "evaluate_hits": self.evaluate_hits,
+            "evaluate_misses": self.evaluate_misses,
+            "ingest_hits": self.ingest_hits,
+            "ingest_misses": self.ingest_misses,
+            "backend_hits": self.backend_hits,
+            "backend_misses": self.backend_misses,
+            "sim_hits": self.sim_hits,
+            "sim_misses": self.sim_misses,
+            "disk_hits": self.disk_hits,
+            "disk_stores": self.disk_stores,
+            "disk_errors": self.disk_errors,
+            "disk_evictions": self.disk_evictions,
+        }
+
+    def reset(self) -> None:
+        self.parse_hits = self.parse_misses = 0
+        self.evaluate_hits = self.evaluate_misses = 0
+        self.ingest_hits = self.ingest_misses = 0
+        self.backend_hits = self.backend_misses = 0
+        self.sim_hits = self.sim_misses = 0
+        self.disk_hits = self.disk_stores = self.disk_errors = 0
+        self.disk_evictions = 0
+
+
+@dataclass
 class CacheStats:
     """Counters describing how a :class:`CompilationCache` has been used."""
 
@@ -562,17 +639,37 @@ class CompilationCache:
             from repro.pipeline.remote import RemoteCacheClient
 
             self.remote = RemoteCacheClient.from_url(self.remote)
-        from repro.pipeline.stages import StageCache
-
-        self.stages = StageCache(
-            cache_dir=self.cache_dir,
-            max_disk_bytes=self.max_disk_bytes,
-            remote=self.remote,
-        )
+        self._stages = None
+        self._stages_lock = threading.Lock()
         # Apply the budget to whatever is already on disk: a store that only
         # ever *hits* would otherwise never shrink after a budget decrease.
         if self.cache_dir is not None and self.cache_dir.is_dir():
             self.enforce_disk_budget()
+
+    @property
+    def stages(self):
+        """The per-stage sub-cache (:class:`~repro.pipeline.stages.StageCache`).
+
+        Built on first use, so a whole-result hit never imports the staged
+        pipeline.
+        """
+        if self._stages is None:
+            with self._stages_lock:
+                if self._stages is None:
+                    from repro.pipeline.stages import StageCache
+
+                    self._stages = StageCache(
+                        cache_dir=self.cache_dir,
+                        max_disk_bytes=self.max_disk_bytes,
+                        remote=self.remote,
+                    )
+        return self._stages
+
+    def stage_stats_snapshot(self) -> dict[str, int]:
+        """:meth:`stages`' counter snapshot; all zero while it was never used."""
+        if self._stages is None:
+            return StageStats().as_dict()
+        return self._stages.stats_snapshot()
 
     # -- keying ---------------------------------------------------------------
 
@@ -635,7 +732,10 @@ class CompilationCache:
                     except OSError:
                         with self._lock:
                             self.stats.disk_errors += 1
-        self.stages.clear(disk=disk)
+        # An unbuilt stage cache holds nothing in memory, and the sweep
+        # above already reclaimed its disk artefacts under ``stages/``.
+        if self._stages is not None:
+            self._stages.clear(disk=disk)
 
     def __len__(self) -> int:
         return len(self._results)

@@ -61,7 +61,6 @@ from __future__ import annotations
 
 import hashlib
 import threading
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
@@ -80,17 +79,15 @@ from repro.lang.compile import (
     parse_stage,
     sugar_stage,
 )
-from repro.lang.parser import parse_source
 from repro.pipeline.cache import (
-    CACHE_VERSION,
-    STAGE_SCHEMA_VERSION,
+    STAGE_DIR_NAME,
     CacheTier,
+    StageStats,
     canonical_option_repr,
     evict_lru_files,
+    file_fingerprint,
+    stage_salt,
 )
-
-#: Subdirectory of the cache dir holding per-stage artefacts.
-STAGE_DIR_NAME = "stages"
 
 #: In-memory LRU capacities of the stage tiers.
 PARSE_ENTRIES = 512
@@ -106,79 +103,10 @@ SIM_ENTRIES = 128
 EVALUATE_OPTIONS = ("top", "top_args", "include_stdlib", "project_name")
 
 
-def _stage_salt() -> str:
-    import repro
-
-    return f"tydi-stage-v{CACHE_VERSION}.{STAGE_SCHEMA_VERSION}:compiler-{repro.__version__}"
-
-
-def file_fingerprint(text: str, filename: str) -> str:
-    """Stable content address of one source file (text + diagnostic name).
-
-    The filename participates because it is embedded in spans, diagnostics
-    and stage logs: the same text under a different name is a different
-    parse artefact.
-    """
-    hasher = hashlib.sha256()
-    hasher.update(_stage_salt().encode())
-    hasher.update(b"\x00file\x00")
-    hasher.update(filename.encode())
-    hasher.update(b"\x00")
-    hasher.update(text.encode())
-    return hasher.hexdigest()
-
-
 def _unit_key(backend_hasher, implementation_key: str) -> str:
     hasher = backend_hasher.copy()
     hasher.update(implementation_key.encode())
     return hasher.hexdigest()
-
-
-@dataclass
-class StageStats:
-    """Counters describing how a :class:`StageCache` has been used."""
-
-    parse_hits: int = 0
-    parse_misses: int = 0
-    evaluate_hits: int = 0
-    evaluate_misses: int = 0
-    ingest_hits: int = 0
-    ingest_misses: int = 0
-    backend_hits: int = 0
-    backend_misses: int = 0
-    sim_hits: int = 0
-    sim_misses: int = 0
-    disk_hits: int = 0
-    disk_stores: int = 0
-    disk_errors: int = 0
-    disk_evictions: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "parse_hits": self.parse_hits,
-            "parse_misses": self.parse_misses,
-            "evaluate_hits": self.evaluate_hits,
-            "evaluate_misses": self.evaluate_misses,
-            "ingest_hits": self.ingest_hits,
-            "ingest_misses": self.ingest_misses,
-            "backend_hits": self.backend_hits,
-            "backend_misses": self.backend_misses,
-            "sim_hits": self.sim_hits,
-            "sim_misses": self.sim_misses,
-            "disk_hits": self.disk_hits,
-            "disk_stores": self.disk_stores,
-            "disk_errors": self.disk_errors,
-            "disk_evictions": self.disk_evictions,
-        }
-
-    def reset(self) -> None:
-        self.parse_hits = self.parse_misses = 0
-        self.evaluate_hits = self.evaluate_misses = 0
-        self.ingest_hits = self.ingest_misses = 0
-        self.backend_hits = self.backend_misses = 0
-        self.sim_hits = self.sim_misses = 0
-        self.disk_hits = self.disk_stores = self.disk_errors = 0
-        self.disk_evictions = 0
 
 
 class StageCache:
@@ -265,7 +193,7 @@ class StageCache:
             options = options.as_dict()
         options = dict(options or {})
         hasher = hashlib.sha256()
-        hasher.update(_stage_salt().encode())
+        hasher.update(stage_salt().encode())
         for name in EVALUATE_OPTIONS:
             hasher.update(b"\x00opt\x00")
             hasher.update(name.encode())
@@ -290,7 +218,7 @@ class StageCache:
         plus the stage salt fully addresses the ingested project.
         """
         hasher = hashlib.sha256()
-        hasher.update(_stage_salt().encode())
+        hasher.update(stage_salt().encode())
         hasher.update(b"\x00iringest\x00")
         hasher.update(text.encode())
         return hasher.hexdigest()
@@ -309,7 +237,7 @@ class StageCache:
         so recompiling for a new backend target keeps sim reports warm.
         """
         hasher = hashlib.sha256()
-        hasher.update(_stage_salt().encode())
+        hasher.update(stage_salt().encode())
         hasher.update(b"\x00sim\x00")
         hasher.update(self.evaluate_key(sources, options).encode())
         hasher.update(b"\x00plan\x00")
@@ -332,7 +260,7 @@ class StageCache:
         Hashed once per :meth:`emit_backend` call and copied per unit.
         """
         hasher = hashlib.sha256()
-        hasher.update(_stage_salt().encode())
+        hasher.update(stage_salt().encode())
         hasher.update(b"\x00backend\x00")
         hasher.update(backend.name.encode())
         hasher.update(b"\x00options\x00")
@@ -349,6 +277,8 @@ class StageCache:
         :func:`~repro.lang.compile.parse_stage` as ``parse_file``).  Parse
         errors propagate unchanged and are never cached.
         """
+        from repro.lang.parser import parse_source
+
         return self._parse.fetch(
             file_fingerprint(text, filename), lambda: parse_source(text, filename)
         )

@@ -19,13 +19,7 @@ See ``docs/server.md`` for the protocol reference and the worker-pool
 architecture.
 """
 
-from repro.server.cachesvc import CacheServer, CacheServerThread, CacheStore
-from repro.server.client import CompileClient, http_post
-from repro.server.metrics import LatencyHistogram, MethodMetrics
-from repro.server.pool import POOLED_METHODS, WorkerPool, shard_for
-from repro.server.protocol import PROTOCOL_VERSION, RemoteCompileError
-from repro.server.service import CompileService
-from repro.server.transport import MAX_PIPELINE_REQUESTS, ServerThread, TydiServer, serve
+from repro import lazy_exports
 
 __all__ = [
     "CacheServer",
@@ -46,3 +40,16 @@ __all__ = [
     "serve",
     "shard_for",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.server.cachesvc": ("CacheServer", "CacheServerThread", "CacheStore"),
+        "repro.server.client": ("CompileClient", "http_post"),
+        "repro.server.metrics": ("LatencyHistogram", "MethodMetrics"),
+        "repro.server.pool": ("POOLED_METHODS", "WorkerPool", "shard_for"),
+        "repro.server.protocol": ("PROTOCOL_VERSION", "RemoteCompileError"),
+        "repro.server.service": ("CompileService",),
+        "repro.server.transport": ("MAX_PIPELINE_REQUESTS", "ServerThread", "TydiServer", "serve"),
+    },
+)

@@ -25,7 +25,6 @@ back to plain strings, ``--file path.td`` attaches source files to an
 from __future__ import annotations
 
 import argparse
-import asyncio
 import json
 import pathlib
 import signal
@@ -172,6 +171,8 @@ def _add_endpoint_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _run_serve(args: argparse.Namespace) -> int:
+    import asyncio
+
     from repro.errors import TydiError
     from repro.server.service import CompileService
     from repro.server.transport import serve

@@ -16,27 +16,7 @@ It also provides the mapping from a Stream type to the physical signal bundle
 compatibility rules (:mod:`repro.spec.compat`) used by the design rule check.
 """
 
-from repro.spec.logical_types import (
-    Bit,
-    Group,
-    LogicalType,
-    Null,
-    Stream,
-    Union,
-)
-from repro.spec.stream_params import (
-    Complexity,
-    Direction,
-    Synchronicity,
-    Throughput,
-)
-from repro.spec.physical import PhysicalSignal, PhysicalStream, expand_stream
-from repro.spec.compat import (
-    CompatibilityReport,
-    check_connection_compatibility,
-    structurally_equal,
-    strictly_equal,
-)
+from repro import lazy_exports
 
 __all__ = [
     "Bit",
@@ -57,3 +37,18 @@ __all__ = [
     "structurally_equal",
     "strictly_equal",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.spec.logical_types": ("Bit", "Group", "LogicalType", "Null", "Stream", "Union"),
+        "repro.spec.stream_params": ("Complexity", "Direction", "Synchronicity", "Throughput"),
+        "repro.spec.physical": ("PhysicalSignal", "PhysicalStream", "expand_stream"),
+        "repro.spec.compat": (
+            "CompatibilityReport",
+            "check_connection_compatibility",
+            "structurally_equal",
+            "strictly_equal",
+        ),
+    },
+)

@@ -159,7 +159,7 @@ class _Design:
         return fingerprint
 
     def file_keys(self) -> dict[str, str]:
-        from repro.pipeline.stages import file_fingerprint
+        from repro.pipeline.cache import file_fingerprint
 
         return {
             filename: file_fingerprint(text, filename)
@@ -222,7 +222,7 @@ class Workspace:
         jobs: Optional[int] = None,
         label: Optional[str] = None,
     ) -> None:
-        from repro.pipeline.batch import EXECUTORS
+        from repro.pipeline import EXECUTORS
 
         if executor not in EXECUTORS:
             raise ValueError(f"executor must be one of {EXECUTORS}, got {executor!r}")

@@ -4,6 +4,7 @@ cache-stack integration (lookup order, corruption recovery, degradation)."""
 import pickle
 import socket
 import threading
+import time
 
 import pytest
 
@@ -374,3 +375,59 @@ class TestConcurrency:
             for thread in readers:
                 thread.join()
             assert not failures
+
+
+class TestCliExitFlush:
+    """A one-shot ``tydi-compile --remote-cache`` uploads before it exits."""
+
+    @staticmethod
+    def _slow_uploads(monkeypatch, delay: float) -> None:
+        from repro.pipeline import remote
+
+        real_pack_put = remote.pack_put
+
+        def slow_pack_put(key: str, payload: bytes) -> bytes:
+            time.sleep(delay)
+            return real_pack_put(key, payload)
+
+        monkeypatch.setattr(remote, "pack_put", slow_pack_put)
+
+    def _compile(self, tmp_path, endpoint: str, *extra: str) -> tuple[int, dict]:
+        import contextlib
+        import io
+        import json
+
+        from repro.cli import main
+
+        source = tmp_path / "echo.td"
+        source.write_text(SOURCE)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            status = main(
+                [str(source), "--target", "vhdl", "--remote-cache", endpoint, "--json", *extra]
+            )
+        return status, json.loads(out.getvalue())
+
+    def test_slow_remote_gets_the_result_before_main_returns(self, server, tmp_path, monkeypatch):
+        self._slow_uploads(monkeypatch, 0.1)
+        status, report = self._compile(tmp_path, server.endpoint)
+        assert status == 0
+        assert any(key.startswith("result:") for key in server.store.keys())
+        remote = report["cache"]["remote"]
+        assert remote["pending_puts"] == 0
+        assert remote["put_drops"] == 0
+        assert remote["puts"] >= 1
+
+    def test_slow_remote_batch_mode(self, server, tmp_path, monkeypatch):
+        self._slow_uploads(monkeypatch, 0.1)
+        status, report = self._compile(tmp_path, server.endpoint, "--batch")
+        assert status == 0
+        assert any(key.startswith("result:") for key in server.store.keys())
+        assert report["cache"]["remote"]["pending_puts"] == 0
+
+    def test_down_remote_does_not_hold_up_exit(self, tmp_path):
+        start = time.monotonic()
+        status, report = self._compile(tmp_path, _dead_endpoint())
+        assert status == 0
+        assert report["cache"]["remote"]["down"] is True
+        assert time.monotonic() - start < 5.0
